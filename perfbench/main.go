@@ -247,12 +247,14 @@ func readyRunner(ctx context.Context, opts ...tensortee.RunnerOption) (*tensorte
 }
 
 // timeSetup builds a workload's state reps times and reports the median
-// set-up time in seconds. Every state but the last is torn down; the
-// caller owns the last.
+// set-up time in seconds. Each build starts after a garbage collection, so
+// none pays for the garbage of the one before. Every state but the last is
+// torn down; the caller owns the last.
 func timeSetup[T any](reps int, build func() (T, error), teardown func(T)) (T, float64, error) {
 	var last T
 	var secs []float64
 	for i := 0; i < reps; i++ {
+		runtime.GC()
 		start := time.Now()
 		st, err := build()
 		if err != nil {

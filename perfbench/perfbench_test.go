@@ -70,11 +70,15 @@ func TestMixGenDeterministic(t *testing.T) {
 	}
 
 	counts := make(map[opKind]int)
+	paths := make(map[string]int)
 	const n = 40000
 	g := newMixGen(1, 0, ids)
 	for i := 0; i < n; i++ {
 		o := g.next()
 		counts[o.kind]++
+		if o.kind == opMisc {
+			paths[o.path]++
+		}
 		if o.kind == opLookup && (o.lookup < 0 || o.lookup >= g.posts) {
 			t.Fatalf("lookup %d of %d posts", o.lookup, g.posts)
 		}
@@ -83,6 +87,12 @@ func TestMixGenDeterministic(t *testing.T) {
 	for k, w := range want {
 		if got := float64(counts[k]) / n; math.Abs(got-w) > 0.01 {
 			t.Errorf("op kind %d: share %.3f, want %.2f", k, got, w)
+		}
+	}
+	// The misc slice is split evenly over its paths.
+	for _, p := range miscPaths {
+		if got := float64(paths[p]) / n; math.Abs(got-0.05/float64(len(miscPaths))) > 0.004 {
+			t.Errorf("misc path %s: share %.4f, want %.4f", p, got, 0.05/float64(len(miscPaths)))
 		}
 	}
 }

@@ -57,14 +57,10 @@ const (
 	opLookup                   // GET /v1/scenarios/{fp} of an earlier POST
 )
 
-// miscPaths are the misc requests with their shares of the misc slice of
-// the mix. /metrics and /v1/store stat every store entry, so each costs
-// time in proportion to the POSTs before it; like a monitoring scrape they
-// come rarely, or their walks would be most of the run's CPU time.
-var miscPaths = []struct {
-	path  string
-	share float64
-}{{"/v1/experiments", 0.45}, {"/healthz", 0.45}, {"/metrics", 0.05}, {"/v1/store", 0.05}}
+// miscPaths are the misc requests, drawn with equal shares. /metrics and
+// /v1/store stat every store entry, so each costs time in proportion to the
+// POSTs before it.
+var miscPaths = []string{"/v1/experiments", "/healthz", "/metrics", "/v1/store"}
 
 // op is one request of the mix.
 type op struct {
@@ -122,14 +118,7 @@ func (g *mixGen) next() op {
 		o.id = g.ids[g.rng.Intn(len(g.ids))]
 	case r < 0.80:
 		o.kind = opMisc
-		u := g.rng.Float64()
-		for _, m := range miscPaths {
-			o.path = m.path
-			if u < m.share {
-				break
-			}
-			u -= m.share
-		}
+		o.path = miscPaths[g.rng.Intn(len(miscPaths))]
 	case r < 0.95 || g.posts == 0:
 		o.kind = opPost
 		o.spec = scenario.Spec{
@@ -155,18 +144,15 @@ type repKey struct {
 // the serve IDs, tensorteed's handler on a loopback listener, and the
 // representations and ETags learned while warming.
 type serveEnv struct {
-	dir string
-	st  *store.Store
-	srv *server.Server
-	// handler is what the listener serves; probeDisk swaps in a second
-	// daemon for a moment.
-	handler atomic.Pointer[http.Handler]
-	hs      *http.Server
-	served  chan struct{}
-	base    string
-	client  *http.Client
-	bodies  map[repKey][]byte
-	etags   map[repKey]string
+	dir    string
+	st     *store.Store
+	srv    *server.Server
+	hs     *http.Server
+	served chan struct{}
+	base   string
+	client *http.Client
+	bodies map[repKey][]byte
+	etags  map[repKey]string
 }
 
 // newServeEnv warms the serve IDs into a temp store with one Runner,
@@ -192,15 +178,11 @@ func newServeEnv(ctx context.Context, tmp string, ids []string, want goldens) (*
 		return nil, err
 	}
 	env.srv = server.New(server.Config{Runner: tensortee.NewRunner(tensortee.WithParallelism(workers), tensortee.WithStore(env.st))})
-	h := env.srv.Handler()
-	env.handler.Store(&h)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	env.hs = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*env.handler.Load()).ServeHTTP(w, r)
-	})}
+	env.hs = &http.Server{Handler: env.srv.Handler()}
 	env.served = make(chan struct{})
 	go func() {
 		defer close(env.served)
@@ -342,7 +324,7 @@ type mixResult struct {
 // count, not a deadline, ends the run because /metrics and /v1/store walk
 // the whole store, so their cost grows with every POST before them; with a
 // fixed sequence the store grows the same way on every run.
-const mixRate = 3500
+const mixRate = 3000
 
 // runMix drives the daemon with workers closed-loop clients, each sending
 // the first perClient requests of its seeded sequence. The timeout only
@@ -450,30 +432,6 @@ func (e *serveEnv) verify(o op, resp *http.Response, body []byte, posts []postRe
 	}
 }
 
-// probeDisk requests each id once from a second daemon over the same
-// store, whose first lookup of every id is a disk-tier hit, then puts the
-// first daemon back.
-func (e *serveEnv) probeDisk(ctx context.Context, ids []string, tr *tracer, parent int, rep *report) error {
-	srv := server.New(server.Config{Runner: tensortee.NewRunner(tensortee.WithStore(e.st))})
-	h := srv.Handler()
-	prev := e.handler.Swap(&h)
-	defer func() {
-		e.handler.Store(prev)
-		shutdown(srv.Campaigns())
-	}()
-	for _, id := range ids {
-		o := op{kind: opGet, id: id, format: "json"}
-		sp := tr.begin("server.request", parent)
-		resp, body, err := e.do(ctx, o)
-		if err != nil {
-			return err
-		}
-		tr.end(sp, resp.Header.Get("X-Cache"))
-		e.verify(o, resp, body, nil, rep)
-	}
-	return nil
-}
-
 // checkPosts is the serve-mix correctness gate for scenarios: the kept
 // POST bodies must match a fresh, uncached Runner's RunScenario of the
 // same spec rendered in the same format.
@@ -527,21 +485,27 @@ func runServe(ctx context.Context, rc *runConfig, rep *report) error {
 	}
 	timeout := time.Duration(10 * rc.seconds * float64(time.Second))
 	if rc.trace {
-		pass := int64(0)
+		// Each pass gets a daemon and store of its own, so the traced pass
+		// starts from the same state as the untraced one: the store walks
+		// of /metrics and /v1/store would otherwise slow the second pass.
+		second, err := newServeEnv(ctx, tmp, ids, want)
+		if err != nil {
+			return err
+		}
+		defer second.close()
+		pass := env
 		var posts []postRecord
-		err := tracedPass(ctx, rc, rep, func(tr *tracer, parent int) (float64, error) {
-			// Each pass draws its own POST specs, so none repeats an earlier
-			// pass's fingerprint and skips the compute tier.
-			pass++
-			res, err := runMix(ctx, env, rc.seed+pass<<32, ids, perClient/2, timeout, batch, tr, parent, rep)
+		err = tracedPass(ctx, rc, rep, func(tr *tracer, parent int) (float64, error) {
+			res, err := runMix(ctx, pass, rc.seed, ids, perClient/2, timeout, batch, tr, parent, rep)
+			pass = second
 			if err != nil {
 				return 0, err
 			}
-			posts = append(posts, res.posts...)
-			if tr != nil {
-				if err := env.probeDisk(ctx, ids, tr, parent, rep); err != nil {
-					return 0, err
-				}
+			if tr == nil {
+				// The traced pass sends the same requests; one pass's POST
+				// bodies are checked.
+				posts = res.posts
+			} else {
 				reportServerLayer(rep, tr)
 			}
 			return res.wall / float64(len(res.samples)), nil
