@@ -191,7 +191,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	opts := []tensortee.RunnerOption{
 		tensortee.WithParallelism(*parallel),
-		tensortee.WithCalibrationCache(true),
 	}
 	if *storeDir != "" {
 		// TENSORTEE_FAULTS is the chaos-testing hook: a deterministic

@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	opts := []tensortee.RunnerOption{
 		tensortee.WithParallelism(*parallel),
-		tensortee.WithCalibrationCache(true),
 	}
 	if *storeDir != "" {
 		// Same chaos hook as tensorteed: a fault plan in TENSORTEE_FAULTS

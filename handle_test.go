@@ -119,23 +119,6 @@ func TestPlatformCustomLineSize(t *testing.T) {
 	}
 }
 
-func TestDeprecatedPlatformConfigWrapper(t *testing.T) {
-	p, err := NewPlatformFromConfig(PlatformConfig{RegionBytes: 1 << 20, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Attested() {
-		t.Error("legacy-config platform not attested")
-	}
-	h, err := p.CreateTensor(CPUSide, "x", []float32{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := h.Read(CPUSide); err != nil || got[1] != 2 {
-		t.Errorf("legacy platform round trip: %v %v", got, err)
-	}
-}
-
 func TestPlatformConcurrentTensorOps(t *testing.T) {
 	// Distinct tensors driven from concurrent goroutines: the platform
 	// mutex must keep the arena, maps, channel, and verifier coherent

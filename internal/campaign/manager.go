@@ -879,12 +879,9 @@ func (m *Manager) persistCheckpoint(j *job, idx int, payload []byte) {
 }
 
 // retryBackoff spaces retry attempt n (1-based): the base delay doubles
-// per attempt (capped) with uniform jitter in [d/2, d].
+// per attempt up to 1s, with uniform jitter in [d/2, d].
 func retryBackoff(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < time.Second; i++ {
-		d *= 2
-	}
+	d := resilience.Backoff(base, time.Second, attempt)
 	if d <= 0 {
 		return 0
 	}

@@ -125,20 +125,23 @@ func (b *Breaker) reopenLocked() {
 	b.openUntil = b.now().Add(b.cooldownLocked())
 }
 
-// cooldownLocked is the effective cooldown under the current escalation:
-// base * 2^(opens-1), clamped to maxCooldown. Requires b.mu.
+// cooldownLocked is the effective cooldown under the current escalation.
+// Requires b.mu.
 func (b *Breaker) cooldownLocked() time.Duration {
-	d := b.cooldown
 	if b.maxCooldown <= 0 {
-		return d
+		return b.cooldown
 	}
-	for i := 1; i < b.opens && d < b.maxCooldown; i++ {
+	return Backoff(b.cooldown, b.maxCooldown, b.opens)
+}
+
+// Backoff is the one exponential-backoff rule: attempt n (1-based) waits
+// base * 2^(n-1), clamped to ceiling. Attempts below 1 wait base.
+func Backoff(base, ceiling time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > b.maxCooldown {
-		d = b.maxCooldown
-	}
-	return d
+	return min(d, ceiling)
 }
 
 // Trip forces the breaker open for a full cooldown (tests and manual

@@ -210,3 +210,28 @@ func TestFixedCooldownWithoutBackoffOption(t *testing.T) {
 		}
 	}
 }
+
+func TestBackoff(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		base, ceiling time.Duration
+		attempt       int
+		want          time.Duration
+	}{
+		{50 * ms, time.Second, 0, 50 * ms},
+		{50 * ms, time.Second, 1, 50 * ms},
+		{50 * ms, time.Second, 2, 100 * ms},
+		{50 * ms, time.Second, 5, 800 * ms},
+		// The ceiling is an exact clamp, not a stop-doubling threshold:
+		// 800ms doubles to 1.6s and is clamped back to 1s.
+		{50 * ms, time.Second, 6, time.Second},
+		{300 * ms, time.Second, 3, time.Second},
+		{50 * ms, time.Second, 1000, time.Second},
+		{2 * time.Second, time.Second, 1, time.Second},
+		{0, time.Second, 4, 0},
+	} {
+		if got := Backoff(tc.base, tc.ceiling, tc.attempt); got != tc.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", tc.base, tc.ceiling, tc.attempt, got, tc.want)
+		}
+	}
+}

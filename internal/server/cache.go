@@ -7,10 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"tensortee"
-	"tensortee/internal/resilience"
+	"tensortee/internal/fill"
 	"tensortee/internal/store"
 )
 
@@ -77,295 +76,139 @@ type rendered struct {
 	gz     []byte // lazily gzipped body; nil when compression doesn't pay
 }
 
-// resultStore is the server-side experiment cache. Each id fills at most
-// once per store (singleflight via per-entry sync.Once, mirroring the
-// Runner's caches); the fill runs detached from any single request's
-// context so an impatient first client cannot poison the cache, and
-// concurrent cold requests for the same id queue on one computation.
-// Rendered representations are memoized per format on top of the Result.
-//
-// The store keeps its own singleflight even though Runner.Cached already
-// has one: the store's fill is the single place the -max-concurrent
-// semaphore is held and the one spot that can increment the
-// experiment-runs metric exactly once (Runner.Cached cannot tell callers
-// which of them triggered the computation).
-type resultStore struct {
-	runner  *tensortee.Runner
-	sem     chan struct{} // bounds concurrent fills; nil = unbounded
-	metrics *Metrics
-
-	// breaker observes experiment-fill outcomes: consecutive failures (or
-	// fills blowing fillBudget) open it, and while open the store degrades
-	// to stale persisted results instead of starting new fills.
-	breaker    *resilience.Breaker
-	fillBudget time.Duration // 0 disables the latency check
+// memo is one filled result plus its wire representations, rendered per
+// format on first use.
+type memo struct {
+	res *tensortee.Result
+	via tier   // the tier that filled it: disk or compute
+	tag string // ETag stem, see etagFor
 
 	mu      sync.Mutex
-	entries map[string]*storeEntry
-}
-
-type storeEntry struct {
-	once sync.Once
-	done chan struct{} // closed when res/err are final
-	res  *tensortee.Result
-	err  error
-	via  tier // which tier satisfied the fill; written before done closes
-
-	rmu     sync.Mutex
 	renders map[Format]*rendered
 }
 
-// start launches compute for this entry exactly once, in a goroutine
-// detached from any single request (an impatient first client cannot
-// poison the cache), queued on sem when non-nil. The fill outlives its
-// request, so a panic in compute (a validation gap reaching a simulator
-// invariant) would crash the whole daemon; it degrades to a per-entry
-// error instead. br, when non-nil, observes the outcome (errors, panics,
-// and fills slower than budget count as failures). Shared by the
-// experiment and scenario stores so hardening applies to both fills; the
-// degradation path also calls it directly for its fire-and-forget
-// revalidation.
-func (e *storeEntry) start(ctx context.Context, sem chan struct{}, br *resilience.Breaker, budget time.Duration, compute func(context.Context) (*tensortee.Result, error)) {
-	e.once.Do(func() {
-		go func() {
-			defer close(e.done)
-			defer func() {
-				if p := recover(); p != nil {
-					e.err = fmt.Errorf("computation panicked: %v", p)
-					if br != nil {
-						br.Failure()
-					}
-				}
-			}()
-			if sem != nil {
-				sem <- struct{}{} // queue cold computations instead of thrashing calibration
-				defer func() { <-sem }()
-			}
-			begin := time.Now()
-			e.res, e.err = compute(context.WithoutCancel(ctx))
-			if br != nil {
-				br.Observe(e.err, time.Since(begin), budget)
-			}
-		}()
-	})
+func (m *memo) render(f Format) (*rendered, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r, ok := m.renders[f]; ok {
+		return r, nil
+	}
+	r, err := newRendered(m.res, m.tag, f)
+	if err != nil {
+		return nil, err
+	}
+	if m.renders == nil {
+		m.renders = make(map[Format]*rendered)
+	}
+	m.renders[f] = r
+	return r, nil
 }
 
-// fill is start plus a wait for the result, honoring ctx for the wait
-// only.
-func (e *storeEntry) fill(ctx context.Context, sem chan struct{}, br *resilience.Breaker, budget time.Duration, compute func(context.Context) (*tensortee.Result, error)) error {
-	e.start(ctx, sem, br, budget, compute)
-	select {
-	case <-e.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+// serve finishes a lookup that produced m, or err with m nil: the
+// representation in format f plus the tier that satisfied it, memory for
+// a hit.
+func (m *memo) serve(f Format, hit bool, err error) (*rendered, tier, error) {
+	if err != nil {
+		return nil, tierNone, err
 	}
+	t := m.via
+	if hit {
+		t = tierMemory
+	}
+	rd, err := m.render(f)
+	return rd, t, err
 }
 
-func newResultStore(r *tensortee.Runner, maxConcurrent int, m *Metrics, br *resilience.Breaker, fillBudget time.Duration) *resultStore {
-	var sem chan struct{}
-	if maxConcurrent > 0 {
-		sem = make(chan struct{}, maxConcurrent)
+func newRendered(res *tensortee.Result, tag string, f Format) (*rendered, error) {
+	body, err := renderResult(res, f)
+	if err != nil {
+		return nil, err
 	}
-	return &resultStore{
-		runner:     r,
-		sem:        sem,
-		metrics:    m,
-		breaker:    br,
-		fillBudget: fillBudget,
-		entries:    make(map[string]*storeEntry),
-	}
+	return &rendered{body: body, etag: etagFor(tag, f), contentType: f.contentType()}, nil
 }
 
-func (s *resultStore) entry(id string) *storeEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		e = &storeEntry{done: make(chan struct{}), renders: make(map[Format]*rendered)}
-		s.entries[id] = e
-	}
-	return e
+// etagFor is the strong validator for one representation. Experiment
+// tags are the result's content fingerprint (which excludes Elapsed, so
+// tags survive recomputation and restarts); scenario tags derive from the
+// spec fingerprint alone (scenarioTag).
+func etagFor(tag string, f Format) string {
+	return fmt.Sprintf("%q", tag+"-"+string(f))
 }
 
-// saturated reports whether a cold lookup should degrade instead of
-// filling: the circuit breaker is open (fills are failing or slow) or
-// every semaphore slot is computing. The channel-length probe is a
-// heuristic snapshot, which is exactly what backpressure needs — a
-// request arriving as a slot frees merely degrades one response early.
-func (s *resultStore) saturated() bool {
-	if s.breaker != nil && s.breaker.Open() {
-		return true
-	}
-	return s.sem != nil && len(s.sem) == cap(s.sem)
-}
+// scenarioTag is the ETag stem of a scenario. It depends only on the spec
+// fingerprint, not on the computed body, so it is known before any
+// computation and stays valid across evictions and daemon restarts.
+func scenarioTag(fp string) string { return fp + "-scenario" }
 
-// staleResult reads the last persisted result for id straight from the
-// local store — disk only: under saturation a peer round-trip is load the
-// daemon is trying to shed, and the peer tier already fed local disk on
-// every past fill.
-func (s *resultStore) staleResult(id string) (*tensortee.Result, bool) {
-	st := s.runner.Store()
-	if st == nil {
-		return nil, false
-	}
-	b, ok := st.Get(store.Results, id)
-	if !ok {
-		return nil, false
-	}
-	res, err := tensortee.DecodeStoredResult(b)
-	if err != nil || res.ID != id {
-		return nil, false
-	}
-	return res, true
-}
+// scenarioETag is the strong validator for one scenario representation.
+func scenarioETag(fp string, f Format) string { return etagFor(scenarioTag(fp), f) }
 
-// result returns the experiment's Result plus the tier that satisfied the
-// lookup, computing on first request. A hit (the entry already computed)
-// is counted in the metrics; a cold miss either starts — or joins — the
+// experiment returns the wire representation of an experiment plus the
+// tier that satisfied the lookup, computing on first request. A memory
+// hit is counted in the metrics. A cold miss starts — or joins — the
 // single fill and waits for it (honoring ctx for the wait only), or, when
 // compute is saturated, degrades: the last persisted result is served
 // stale while the fill revalidates in the background, and with nothing
 // persisted the lookup fails with ErrSaturated instead of queueing.
-func (s *resultStore) result(ctx context.Context, id string) (*tensortee.Result, tier, error) {
-	e := s.entry(id)
-	select {
-	case <-e.done:
+//
+// The server keeps its own fill group even though Runner.Cached has one:
+// the server's fill is the one place the -max-concurrent bound is held
+// and the one spot that counts the experiment-runs metric exactly once
+// (Runner.Cached cannot tell callers which of them triggered the
+// computation).
+func (s *Server) experiment(ctx context.Context, id string, f Format) (*rendered, tier, error) {
+	m, err, ok := s.results.Peek(id)
+	if ok {
 		s.metrics.CacheHit()
-		return e.res, tierMemory, e.err
-	default:
-	}
-	compute := func(ctx context.Context) (*tensortee.Result, error) {
-		res, err := s.runner.Cached(ctx, id)
-		if err == nil {
+	} else {
+		fillExperiment := func(ctx context.Context) (*memo, error) {
+			res, err := s.runner.Cached(ctx, id)
+			if err != nil {
+				return nil, err
+			}
 			// The runs metric counts actual computations; a result the
 			// runner loaded from the persistent store cost a disk read,
 			// not a simulation, and shows up in the store counters instead.
 			if s.runner.ResultFromStore(id) {
 				s.metrics.ExperimentStoreServe()
-			} else {
-				s.metrics.ExperimentRun(id, res.Elapsed.Seconds())
+				return &memo{res: res, via: tierDisk, tag: res.Fingerprint()}, nil
 			}
+			s.metrics.ExperimentRun(id, res.Elapsed.Seconds())
+			return &memo{res: res, via: tierCompute, tag: res.Fingerprint()}, nil
 		}
-		return res, err
-	}
-	if s.saturated() {
-		if res, ok := s.staleResult(id); ok {
-			// Stale-while-revalidate: the answer comes from disk now, and
-			// the real fill is kicked off fire-and-forget (queueing on the
-			// semaphore) so a future request finds the entry warm — unless
-			// the breaker is open, in which case starting fills is exactly
-			// what must stop.
-			if s.breaker == nil || !s.breaker.Open() {
-				e.start(ctx, s.sem, s.breaker, s.fillBudget, compute)
+		if s.results.Saturated() {
+			if rd := s.stale(store.Results, id, f); rd != nil {
+				// Stale-while-revalidate: the answer comes from disk now,
+				// and the real fill is kicked off fire-and-forget (queueing
+				// for a slot) so a future request finds the entry warm —
+				// unless the breaker is open, in which case starting fills
+				// is exactly what must stop.
+				if !s.results.Breaker.Open() {
+					_ = s.results.Start(ctx, id, fillExperiment) // never ErrBusy: uncapped
+				}
+				s.metrics.StaleServe()
+				return rd, tierStale, nil
 			}
-			s.metrics.StaleServe()
-			return res, tierStale, nil
+			s.metrics.SaturationReject()
+			return nil, tierNone, ErrSaturated
 		}
-		s.metrics.SaturationReject()
-		return nil, tierNone, ErrSaturated
+		m, err = s.results.Do(ctx, id, fillExperiment)
 	}
-	if err := e.fill(ctx, s.sem, s.breaker, s.fillBudget, compute); err != nil {
-		return nil, tierNone, err
-	}
-	t := tierCompute
-	if e.err == nil && s.runner.ResultFromStore(id) {
-		t = tierDisk
-	}
-	return e.res, t, e.err
-}
-
-// render returns the wire representation of the experiment in the given
-// format plus the tier that satisfied it. Non-degraded representations
-// are memoized per format; stale ones are rendered fresh each time (the
-// degradation path is the rare case, and memoizing bytes that the
-// background revalidation is about to supersede would pin them).
-func (s *resultStore) render(ctx context.Context, id string, f Format) (*rendered, tier, error) {
-	res, t, err := s.result(ctx, id)
-	if err != nil {
-		return nil, t, err
-	}
-	if t == tierStale {
-		body, err := renderResult(res, f)
-		if err != nil {
-			return nil, t, err
-		}
-		return &rendered{
-			body: body,
-			// Same derivation as the warm path: the fingerprint excludes
-			// Elapsed, so a client revalidating a previously warm response
-			// still 304s during degradation.
-			etag:        fmt.Sprintf("%q", res.Fingerprint()+"-"+string(f)),
-			contentType: f.contentType(),
-			stale:       true,
-		}, t, nil
-	}
-	e := s.entry(id)
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	if r, ok := e.renders[f]; ok {
-		return r, t, nil
-	}
-	body, err := renderResult(res, f)
-	if err != nil {
-		return nil, t, err
-	}
-	r := &rendered{
-		body:        body,
-		etag:        fmt.Sprintf("%q", res.Fingerprint()+"-"+string(f)),
-		contentType: f.contentType(),
-	}
-	e.renders[f] = r
-	return r, t, nil
-}
-
-// scenarioStore is the server-side cache for POST /v1/scenarios results,
-// keyed by the spec's content fingerprint (normalized, so two request
-// bodies that decode to equivalent specs share one entry). Each
-// fingerprint computes at most once (singleflight via per-entry
-// sync.Once); fills run detached from the triggering request's context
-// and hold the scenario semaphore, bounding concurrent scenario
-// computations independently of the experiment bound. Rendered
-// representations are memoized per format on top of the Result.
-type scenarioStore struct {
-	runner  *tensortee.Runner
-	sem     chan struct{} // bounds concurrent scenario fills; nil = unbounded
-	metrics *Metrics
-
-	// breaker observes scenario-fill outcomes alongside the experiment
-	// store's: a backend sick enough to fail scenario computations is the
-	// same backend the degradation path protects.
-	breaker *resilience.Breaker
-
-	mu      sync.Mutex
-	entries map[string]*storeEntry
-}
-
-func newScenarioStore(r *tensortee.Runner, maxConcurrent int, m *Metrics, br *resilience.Breaker) *scenarioStore {
-	var sem chan struct{}
-	if maxConcurrent > 0 {
-		sem = make(chan struct{}, maxConcurrent)
-	}
-	return &scenarioStore{
-		runner:  r,
-		sem:     sem,
-		metrics: m,
-		breaker: br,
-		entries: make(map[string]*storeEntry),
-	}
+	return m.serve(f, ok, err)
 }
 
 // maxScenarioEntries bounds the scenario result cache: the experiment
-// store's key space is the 14 registry ids, but scenario fingerprints are
+// cache's key space is the 14 registry ids, but scenario fingerprints are
 // attacker-controlled, so retention must not grow with distinct specs.
 // At the cap, completed entries are dropped wholesale (the cache is
-// correctness-neutral; replays recompute) while in-flight fills are kept
-// so their waiters and singleflight semantics are undisturbed. The cap is
-// hard: when eviction frees nothing — every slot holds an in-flight fill —
-// new fingerprints are refused instead of inserted, so neither the map nor
-// the detached fill-goroutine count can grow past the cap (fills outlive
-// the requests that started them, so without the refusal a client posting
-// distinct specs and aborting each request would leak both).
+// correctness-neutral; replays re-admit from disk or recompute) while
+// in-flight fills are kept so their waiters and singleflight semantics
+// are undisturbed. The cap is hard: when eviction frees nothing, new
+// fingerprints are refused with ErrScenarioStoreBusy, so neither the map
+// nor the detached fill-goroutine count can grow past the cap (fills
+// outlive the requests that started them, so without the refusal a
+// client posting distinct specs and aborting each request would leak
+// both).
 const maxScenarioEntries = 256
 
 // ErrScenarioStoreBusy reports that every scenario-cache slot holds an
@@ -373,161 +216,73 @@ const maxScenarioEntries = 256
 // retry once some fills complete.
 var ErrScenarioStoreBusy = errors.New("all scenario computations busy; retry later")
 
-func (s *scenarioStore) entry(fp string) (*storeEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[fp]
-	if !ok {
-		if len(s.entries) >= maxScenarioEntries {
-			for k, old := range s.entries {
-				select {
-				case <-old.done:
-					delete(s.entries, k)
-				default: // still filling; keep
-				}
-			}
-			if len(s.entries) >= maxScenarioEntries {
-				return nil, ErrScenarioStoreBusy
-			}
-		}
-		e = &storeEntry{done: make(chan struct{}), renders: make(map[Format]*rendered)}
-		s.entries[fp] = e
-	}
-	return e, nil
-}
-
-// render returns the cached wire representation of the scenario in the
-// given format plus the tier that satisfied it, computing the scenario on
-// first request for its fingerprint. The ETag is keyed on the spec
-// fingerprint (plus format), so revalidation works across restarts for
-// identical specs. Scenario fills feed the circuit breaker (no latency
-// budget — scenario cost varies with the spec): invalid specs were
-// already rejected with 400 before reaching here, so a failing fill is
-// the backend's health, not the client's input.
-func (s *scenarioStore) render(ctx context.Context, fp string, spec tensortee.Scenario, f Format) (*rendered, tier, error) {
-	e, err := s.entry(fp)
-	if err != nil {
-		return nil, tierNone, err
-	}
-	t := tierMemory
-	select {
-	case <-e.done:
+// scenario returns the cached wire representation of a scenario plus the
+// tier that satisfied it, computing the scenario on first request for its
+// fingerprint. Scenario fills feed the circuit breaker (no latency budget
+// — scenario cost varies with the spec): invalid specs were already
+// rejected with 400 before reaching here, so a failing fill is the
+// backend's health, not the client's input.
+func (s *Server) scenario(ctx context.Context, fp string, spec tensortee.Scenario, f Format) (*rendered, tier, error) {
+	m, err, ok := s.scenarios.Peek(fp)
+	if ok {
 		s.metrics.ScenarioCacheHit()
-	default:
-		if err := e.fill(ctx, s.sem, s.breaker, 0, func(ctx context.Context) (*tensortee.Result, error) {
+	} else {
+		m, err = s.scenarios.Do(ctx, fp, func(ctx context.Context) (*memo, error) {
 			// RunScenarioCached consults the persistent store before
-			// computing, which is also what makes the memory cap safe to
-			// enforce by wholesale eviction: a persisted entry that was
-			// flushed from this map re-admits from disk on its next request
-			// instead of recomputing.
+			// computing, so a persisted entry that was evicted from memory
+			// re-admits from disk on its next request instead of
+			// recomputing.
 			res, fromStore, err := s.runner.RunScenarioCached(ctx, spec)
-			if err == nil {
-				if fromStore {
-					s.metrics.ScenarioStoreServe()
-					e.via = tierDisk
-				} else {
-					s.metrics.ScenarioRun()
-					e.via = tierCompute
-				}
+			if err != nil {
+				return nil, err
 			}
-			return res, err
-		}); err != nil {
-			return nil, tierNone, err
-		}
-		if e.via != tierNone {
-			t = e.via
-		} else {
-			t = tierCompute
+			if fromStore {
+				s.metrics.ScenarioStoreServe()
+				return &memo{res: res, via: tierDisk, tag: scenarioTag(fp)}, nil
+			}
+			s.metrics.ScenarioRun()
+			return &memo{res: res, via: tierCompute, tag: scenarioTag(fp)}, nil
+		})
+		if errors.Is(err, fill.ErrBusy) {
+			err = ErrScenarioStoreBusy
 		}
 	}
-	rd, err := e.renderScenario(fp, f)
-	return rd, t, err
+	return m.serve(f, ok, err)
 }
 
-// peek returns the completed entry for fp, or nil when the fingerprint
-// is unknown, still filling, or failed. It never creates an entry — the
-// GET-by-fingerprint path must not consume cache slots (or start fills)
-// for attacker-invented fingerprints.
-func (s *scenarioStore) peek(fp string) *storeEntry {
-	s.mu.Lock()
-	e, ok := s.entries[fp]
-	s.mu.Unlock()
+// stale renders the last persisted result under ns/key straight from the
+// local store, marked stale, for the degradation paths. Disk only: under
+// saturation a peer round trip is load the daemon is trying to shed, and
+// every past fill already copied peer entries to local disk. The ETag is
+// the warm path's, so a client revalidating a previously warm response
+// still gets 304 during degradation. Nil when persistence is off or
+// nothing usable is stored.
+func (s *Server) stale(ns store.Namespace, key string, f Format) *rendered {
+	st := s.runner.Store()
+	if st == nil {
+		return nil
+	}
+	b, ok := st.Get(ns, key)
 	if !ok {
 		return nil
 	}
-	select {
-	case <-e.done:
-		if e.err != nil {
+	res, err := tensortee.DecodeStoredResult(b)
+	if err != nil {
+		return nil
+	}
+	tag := scenarioTag(key)
+	if ns == store.Results {
+		if res.ID != key {
 			return nil
 		}
-		return e
-	default:
+		tag = res.Fingerprint()
+	}
+	rd, err := newRendered(res, tag, f)
+	if err != nil {
 		return nil
 	}
-}
-
-// admit installs an already-available result (re-read from the
-// persistent store) as a completed entry so subsequent lookups hit
-// memory. Best-effort: when the fingerprint raced another fill, or the
-// cache is pinned full by in-flight fills, the result is returned as a
-// detached completed entry that simply isn't retained.
-func (s *scenarioStore) admit(fp string, res *tensortee.Result) *storeEntry {
-	detached := func() *storeEntry {
-		e := &storeEntry{done: make(chan struct{}), renders: make(map[Format]*rendered)}
-		e.res = res
-		close(e.done)
-		return e
-	}
-	e, err := s.entry(fp)
-	if err != nil {
-		return detached()
-	}
-	e.once.Do(func() {
-		e.res = res
-		close(e.done)
-	})
-	select {
-	case <-e.done:
-		if e.err != nil || e.res == nil {
-			return detached()
-		}
-		return e
-	default:
-		// An in-flight fill owns the slot; don't wait on it.
-		return detached()
-	}
-}
-
-// renderScenario returns the memoized wire representation of a completed
-// entry, rendering it on first use. The entry must be done.
-func (e *storeEntry) renderScenario(fp string, f Format) (*rendered, error) {
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	if r, ok := e.renders[f]; ok {
-		return r, nil
-	}
-	body, err := renderResult(e.res, f)
-	if err != nil {
-		return nil, err
-	}
-	r := &rendered{
-		body:        body,
-		etag:        scenarioETag(fp, f),
-		contentType: f.contentType(),
-	}
-	e.renders[f] = r
-	return r, nil
-}
-
-// scenarioETag is the strong validator for one scenario representation.
-// It depends only on the spec fingerprint and the format — not on the
-// computed body — so it is known before any computation and stays valid
-// across evictions and daemon restarts.
-func scenarioETag(fp string, f Format) string {
-	return fmt.Sprintf("%q", fp+"-scenario-"+string(f))
+	rd.stale = true
+	return rd
 }
 
 // fingerprintStrings derives one stable hex digest from a list of tags

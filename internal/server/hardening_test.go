@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -60,26 +61,31 @@ func newHardenedServer(t *testing.T, dir string, mutate func(*Config)) (*Server,
 	return s, ts
 }
 
-// saturate occupies every semaphore slot of the experiment store and
-// returns a release func — the deterministic stand-in for "every
-// -max-concurrent slot holds a cold heavy fill".
+// saturate occupies every -max-concurrent slot of the experiment fill
+// group with a fill that blocks until the returned release func runs —
+// the deterministic stand-in for "every slot holds a cold heavy fill".
 func saturate(t *testing.T, s *Server) (release func()) {
 	t.Helper()
-	if s.store.sem == nil {
-		t.Fatal("server has no compute semaphore to saturate")
+	n := s.results.Concurrency
+	if n == 0 {
+		t.Fatal("server has no compute bound to saturate")
 	}
-	n := cap(s.store.sem)
+	gate := make(chan struct{})
+	held := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		s.store.sem <- struct{}{}
+		if err := s.results.Start(context.Background(), fmt.Sprintf("saturate-%d", i), func(context.Context) (*memo, error) {
+			held <- struct{}{}
+			<-gate
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		<-held
 	}
 	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			for i := 0; i < n; i++ {
-				<-s.store.sem
-			}
-		})
-	}
+	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
 	return release
 }
@@ -486,14 +492,14 @@ func TestStaleScenarioFallback(t *testing.T) {
 	}
 	s := New(Config{Runner: runner})
 
-	rd := s.staleScenario(fp, FormatJSON)
+	rd := s.stale(store.Scenarios, fp, FormatJSON)
 	if rd == nil {
-		t.Fatal("staleScenario found nothing despite a persisted entry")
+		t.Fatal("stale found nothing despite a persisted scenario entry")
 	}
 	if !rd.stale || rd.etag != scenarioETag(fp, FormatJSON) {
 		t.Errorf("stale render = {stale: %v, etag: %q}", rd.stale, rd.etag)
 	}
-	if s.staleScenario("0000000000000000", FormatJSON) != nil {
-		t.Error("staleScenario fabricated a result for an unknown fingerprint")
+	if s.stale(store.Scenarios, "0000000000000000", FormatJSON) != nil {
+		t.Error("stale fabricated a result for an unknown fingerprint")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -191,36 +192,52 @@ func TestScenarioEndpointRejectsBadSpecs(t *testing.T) {
 }
 
 func TestScenarioStoreRefusesWhenAllEntriesInFlight(t *testing.T) {
-	s := newScenarioStore(tensortee.NewRunner(), 0, NewMetrics(), nil)
-	// Fill every slot with an entry whose fill never completes (done stays
-	// open): eviction can free nothing, so the cap must hold by refusal.
-	for i := 0; i < maxScenarioEntries; i++ {
-		if _, err := s.entry(fmt.Sprintf("fp-%d", i)); err != nil {
+	s := New(Config{Runner: tensortee.NewRunner()})
+	ctx := context.Background()
+	// Fill every slot with a fill that blocks until its gate opens:
+	// eviction can free nothing, so the cap must hold by refusal.
+	gates := make([]chan struct{}, maxScenarioEntries)
+	for i := range gates {
+		gate := make(chan struct{})
+		gates[i] = gate
+		if err := s.scenarios.Start(ctx, fmt.Sprintf("fp-%d", i), func(context.Context) (*memo, error) {
+			<-gate
+			return nil, nil
+		}); err != nil {
 			t.Fatalf("entry %d refused below the cap: %v", i, err)
 		}
 	}
-	if _, err := s.entry("fp-new"); !errors.Is(err, ErrScenarioStoreBusy) {
-		t.Fatalf("entry past the cap: err = %v, want ErrScenarioStoreBusy", err)
+	t.Cleanup(func() {
+		for _, g := range gates {
+			select {
+			case <-g:
+			default:
+				close(g)
+			}
+		}
+	})
+	spec := tensortee.Scenario{Model: tensortee.ScenarioModel{Name: "GPT2-M"}}
+	if _, _, err := s.scenario(ctx, "fp-new", spec, FormatJSON); !errors.Is(err, ErrScenarioStoreBusy) {
+		t.Fatalf("scenario past the cap: err = %v, want ErrScenarioStoreBusy", err)
 	}
-	if len(s.entries) != maxScenarioEntries {
-		t.Fatalf("entries = %d, want exactly %d", len(s.entries), maxScenarioEntries)
+	if n := s.scenarios.Len(); n != maxScenarioEntries {
+		t.Fatalf("entries = %d, want exactly %d", n, maxScenarioEntries)
 	}
 	// A known fingerprint still resolves at the cap (waiters join, no growth).
-	if _, err := s.entry("fp-0"); err != nil {
+	if err := s.scenarios.Start(ctx, "fp-0", nil); err != nil {
 		t.Fatalf("existing entry refused at the cap: %v", err)
 	}
 	// Once one fill completes, eviction frees its slot and new specs are
 	// admitted again.
-	e, err := s.entry("fp-1")
-	if err != nil {
+	close(gates[1])
+	if _, err := s.scenarios.Do(ctx, "fp-1", nil); err != nil {
 		t.Fatal(err)
 	}
-	close(e.done)
-	if _, err := s.entry("fp-new"); err != nil {
+	if err := s.scenarios.Start(ctx, "fp-new", func(context.Context) (*memo, error) { return nil, nil }); err != nil {
 		t.Fatalf("entry after eviction became possible: %v", err)
 	}
-	if len(s.entries) > maxScenarioEntries {
-		t.Fatalf("entries = %d, exceeds the cap", len(s.entries))
+	if n := s.scenarios.Len(); n > maxScenarioEntries {
+		t.Fatalf("entries = %d, exceeds the cap", n)
 	}
 }
 

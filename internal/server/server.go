@@ -37,6 +37,7 @@ import (
 
 	"tensortee"
 	"tensortee/internal/campaign"
+	"tensortee/internal/fill"
 	"tensortee/internal/ratelimit"
 	"tensortee/internal/resilience"
 	"tensortee/internal/store"
@@ -112,8 +113,8 @@ type Config struct {
 // Server is the tensorteed HTTP API. Build with New, mount with Handler.
 type Server struct {
 	runner         *tensortee.Runner
-	store          *resultStore
-	scenarios      *scenarioStore
+	results        fill.Group[string, *memo] // experiments, by id
+	scenarios      fill.Group[string, *memo] // scenarios, by spec fingerprint
 	campaigns      *campaign.Manager
 	metrics        *Metrics
 	limiter        *ratelimit.Limiter // nil when rate limiting is disabled
@@ -173,8 +174,8 @@ func New(cfg Config) *Server {
 	m.SetCampaignsActive(mgr.Active)
 	s := &Server{
 		runner:         r,
-		store:          newResultStore(r, cfg.MaxConcurrent, m, br, cfg.FillBudget),
-		scenarios:      newScenarioStore(r, cfg.MaxConcurrentScenarios, m, br),
+		results:        fill.Group[string, *memo]{Concurrency: cfg.MaxConcurrent, Breaker: br, Budget: cfg.FillBudget},
+		scenarios:      fill.Group[string, *memo]{Cap: maxScenarioEntries, Concurrency: cfg.MaxConcurrentScenarios, Breaker: br},
 		campaigns:      mgr,
 		metrics:        m,
 		trustedProxies: cfg.TrustedProxies,
@@ -370,7 +371,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rd, t, err := s.store.render(r.Context(), id, f)
+	rd, t, err := s.experiment(r.Context(), id, f)
 	if err != nil {
 		if errors.Is(err, ErrSaturated) {
 			w.Header().Set("Retry-After", ratelimit.RetryAfter(saturationRetryAfterBase))
@@ -390,7 +391,7 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Fan the fills out; the store's semaphore bounds actual concurrency
+	// Fan the fills out; the fill group's bound limits actual concurrency
 	// and each id still computes at most once.
 	type outcome struct {
 		rd  *rendered
@@ -401,7 +402,7 @@ func (s *Server) handleAll(w http.ResponseWriter, r *http.Request) {
 	doneCh := make(chan int, len(s.index))
 	for i, e := range s.index {
 		go func(i int, id string) {
-			rd, t, err := s.store.render(r.Context(), id, f)
+			rd, t, err := s.experiment(r.Context(), id, f)
 			outcomes[i] = outcome{rd, t, err}
 			doneCh <- i
 		}(i, e.ID)
@@ -487,7 +488,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.serve(w, r, &rendered{etag: etag, contentType: f.contentType()})
 		return
 	}
-	rd, t, err := s.scenarios.render(r.Context(), fp, spec, f)
+	rd, t, err := s.scenario(r.Context(), fp, spec, f)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -496,7 +497,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrScenarioStoreBusy):
 			// Degrade before shedding: an identical spec computed by an
 			// earlier process sharing -store-dir serves stale from disk.
-			if srd := s.staleScenario(fp, f); srd != nil {
+			if srd := s.stale(store.Scenarios, fp, f); srd != nil {
 				s.metrics.StaleServe()
 				setCacheTier(w, tierStale)
 				s.serve(w, r, srd)
@@ -512,35 +513,6 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	setCacheTier(w, t)
 	s.serve(w, r, rd)
-}
-
-// staleScenario reads the last persisted result for a scenario
-// fingerprint straight from local disk — the degradation twin of
-// resultStore.staleResult. Nil when persistence is off or the store has
-// nothing usable.
-func (s *Server) staleScenario(fp string, f Format) *rendered {
-	st := s.runner.Store()
-	if st == nil {
-		return nil
-	}
-	b, ok := st.Get(store.Scenarios, fp)
-	if !ok {
-		return nil
-	}
-	res, err := tensortee.DecodeStoredResult(b)
-	if err != nil {
-		return nil
-	}
-	body, err := renderResult(res, f)
-	if err != nil {
-		return nil
-	}
-	return &rendered{
-		body:        body,
-		etag:        scenarioETag(fp, f),
-		contentType: f.contentType(),
-		stale:       true,
-	}
 }
 
 // handleScenarioLookup serves a previously computed scenario by its
@@ -570,8 +542,8 @@ func (s *Server) handleScenarioLookup(w http.ResponseWriter, r *http.Request) {
 		s.serve(w, r, &rendered{etag: etag, contentType: f.contentType()})
 		return
 	}
-	if e := s.scenarios.peek(fp); e != nil {
-		rd, err := e.renderScenario(fp, f)
+	if m, err, ok := s.scenarios.Peek(fp); ok && err == nil {
+		rd, err := m.render(f)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -584,8 +556,9 @@ func (s *Server) handleScenarioLookup(w http.ResponseWriter, r *http.Request) {
 	if st := s.runner.Store(); st != nil {
 		if b, ok := st.GetOrFetch(r.Context(), store.Scenarios, fp); ok {
 			if res, err := tensortee.DecodeStoredResult(b); err == nil {
-				e := s.scenarios.admit(fp, res)
-				rd, err := e.renderScenario(fp, f)
+				m := &memo{res: res, via: tierDisk, tag: scenarioTag(fp)}
+				s.scenarios.Seed(fp, m) // later lookups hit memory
+				rd, err := m.render(f)
 				if err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return

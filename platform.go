@@ -116,24 +116,6 @@ func NewPlatform(opts ...PlatformOption) (*Platform, error) {
 	}, nil
 }
 
-// PlatformConfig sizes the functional platform.
-//
-// Deprecated: use NewPlatform with WithRegionBytes / WithSeed /
-// WithLineSize options instead.
-type PlatformConfig struct {
-	// RegionBytes is the protected memory size per enclave (default 8 MB).
-	RegionBytes int
-	// Seed makes key generation deterministic per platform instance.
-	Seed uint64
-}
-
-// NewPlatformFromConfig builds a platform from the legacy config struct.
-//
-// Deprecated: use NewPlatform with functional options instead.
-func NewPlatformFromConfig(cfg PlatformConfig) (*Platform, error) {
-	return NewPlatform(WithRegionBytes(cfg.RegionBytes), WithSeed(cfg.Seed))
-}
-
 func (p *Platform) region(s Side) *mee.Region {
 	if s == CPUSide {
 		return p.cpuRegion

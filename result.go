@@ -84,8 +84,7 @@ func (t *ResultTable) Column(name string) int {
 }
 
 // Result is one experiment's typed outcome: the tables and headline
-// scalars the paper reports, plus free-form notes. It replaces the
-// pre-rendered string RunExperiment used to return.
+// scalars the paper reports, plus free-form notes.
 type Result struct {
 	// ID is the experiment id (e.g. "fig16").
 	ID string `json:"id"`
@@ -152,7 +151,7 @@ func (r *Result) sortedScalarKeys() []string {
 }
 
 // Text renders the result in the classic report layout (what the CLI
-// prints and what the deprecated RunExperiment returns). The table layout
+// prints). The table layout
 // is stats.Table's — cells round-trip as their rendered text, so the
 // output stays byte-identical to the internal Report rendering (pinned by
 // TestResultTextMatchesReport).

@@ -37,6 +37,9 @@ func TestResultTextMatchesReport(t *testing.T) {
 
 func TestResultTypedCells(t *testing.T) {
 	res := runResult(t, "tab2")
+	if !strings.Contains(res.Text(), "GPT2-M") {
+		t.Error("tab2 text missing models")
+	}
 	tb := res.Tables[0]
 	if got := tb.Column("batch size"); got < 0 {
 		t.Fatalf("missing 'batch size' column in %v", tb.Columns)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,37 +15,10 @@ import (
 	"tensortee/internal/config"
 	"tensortee/internal/core"
 	"tensortee/internal/experiments"
+	"tensortee/internal/fill"
 	"tensortee/internal/scenario"
 	"tensortee/internal/store"
 )
-
-// systemCache shares calibrated systems across experiments, scenarios and
-// goroutines. Calibration (a short CPU-simulation sample) is the expensive
-// part of building a system; with the cache each distinct configuration
-// calibrates exactly once per Runner instead of once per experiment.
-// Entries are keyed by a content fingerprint of the full configuration, so
-// a scenario whose overrides resolve to a Table-1 default shares the
-// registry experiments' calibration, while every distinct override set
-// gets (and keeps) its own. Concurrent requests for the same configuration
-// block on a single calibration (per-entry sync.Once).
-type systemCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	// store, when set, persists calibration snapshots keyed by the config
-	// content fingerprint: calibration is the expensive prefix of every
-	// run, and a snapshot makes a cold start O(disk read).
-	store *store.Store
-}
-
-type cacheEntry struct {
-	once sync.Once
-	sys  *core.System
-	err  error
-}
-
-func newSystemCache() *systemCache {
-	return &systemCache{entries: make(map[string]*cacheEntry)}
-}
 
 // configFingerprint derives the cache key from the complete configuration.
 // config.Config is plain data (value fields only), so its JSON form is a
@@ -65,146 +39,40 @@ func configFingerprint(cfg config.Config) string {
 // budget absorbs scenario override sets. A calibrated system with a large
 // explicit protected region holds a dense metadata layout, so unbounded
 // retention would let a stream of distinct scenario configs exhaust
-// memory. At the cap the whole map is dropped (wholesale, not LRU — the
-// cache is correctness-neutral and recalibration is ~a second): in-flight
-// callers keep their entry pointers and finish normally.
+// memory. At the cap completed calibrations are dropped (the cache is
+// correctness-neutral and recalibration is ~a second) while in-flight ones
+// keep their waiters.
 const maxCachedSystems = 32
 
-func (c *systemCache) get(cfg config.Config) (*core.System, error) {
-	key := configFingerprint(cfg)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		if len(c.entries) >= maxCachedSystems {
-			c.entries = make(map[string]*cacheEntry)
-		}
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		// Disk (and peer) tier first: a persisted snapshot skips the
-		// calibration simulation entirely. Decode or rebuild failures fall
-		// through to a fresh calibration — the store is an accelerator,
-		// never a correctness dependency.
-		if c.store != nil {
-			if b, ok := c.store.GetOrFetch(context.Background(), store.Calibrations, key); ok {
-				var snap core.CalibrationSnapshot
-				if json.Unmarshal(b, &snap) == nil {
-					if sys, err := core.NewSystemFromSnapshot(cfg, snap); err == nil {
-						e.sys = sys
-						return
-					}
-				}
-			}
-		}
-		e.sys, e.err = core.NewSystemFromConfig(cfg)
-		if e.err == nil && c.store != nil {
-			if b, err := json.Marshal(e.sys.Snapshot()); err == nil {
-				// Best-effort write-through; a full disk must not fail the run.
-				_ = c.store.Put(store.Calibrations, key, b)
-			}
-		}
-	})
-	return e.sys, e.err
-}
-
-// resultCache memoizes computed Results per experiment id, mirroring
-// systemCache: each id computes at most once per Runner, concurrent
-// requests for the same id share the single computation, and hits are
-// served from memory. Because experiment outputs are deterministic (pinned
-// by TestGoldenOutputs), a memoized Result is indistinguishable from a
-// fresh run — apart from being ~instant.
-type resultCache struct {
-	mu      sync.Mutex
-	entries map[string]*resultEntry
-}
-
-type resultEntry struct {
-	once sync.Once
-	done chan struct{} // closed when res/err are final
-	res  *Result
-	err  error
-	// fromStore records that res was loaded from the persistent store
-	// (disk or peer) rather than computed in this process. Written before
-	// done closes; read only after.
+// cachedResult is one memoized experiment outcome. fromStore records that
+// res was loaded from the persistent store (disk or peer) rather than
+// computed in this process.
+type cachedResult struct {
+	res       *Result
 	fromStore bool
-}
-
-func newResultCache() *resultCache {
-	return &resultCache{entries: make(map[string]*resultEntry)}
-}
-
-func (c *resultCache) entry(id string) *resultEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		e = &resultEntry{done: make(chan struct{})}
-		c.entries[id] = e
-	}
-	return e
-}
-
-// seed records an already-computed result so future Cached calls hit.
-// The entry's own sync.Once arbitrates the race with an in-flight Cached
-// computation: whichever completes first wins, and experiment outputs are
-// deterministic so the two results are interchangeable. Never call seed
-// from inside Cached's compute path — the once is not reentrant.
-func (c *resultCache) seed(id string, res *Result) {
-	e := c.entry(id)
-	e.once.Do(func() {
-		e.res = res
-		close(e.done)
-	})
-}
-
-// cached reports whether the id has already finished computing (a lookup
-// now would be a memory hit, not a compute or a wait).
-func (c *resultCache) cached(id string) bool {
-	c.mu.Lock()
-	e, ok := c.entries[id]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// fromStore reports whether the id's memoized result was loaded from the
-// persistent store rather than computed here (false while still
-// computing or on a never-requested id).
-func (c *resultCache) fromStore(id string) bool {
-	c.mu.Lock()
-	e, ok := c.entries[id]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return e.fromStore
-	default:
-		return false
-	}
 }
 
 // Runner executes experiments, optionally many at a time, sharing one
 // calibration cache across all of them. The zero configuration
 // (NewRunner() with no options) runs sequentially with caching on; a
-// Runner is safe for concurrent use.
+// Runner is safe for concurrent use. The zero value works too, with an
+// unbounded calibration cache.
 type Runner struct {
 	parallelism int
-	cache       *systemCache // nil when caching is disabled
-	results     *resultCache // lazily built by Cached on the zero value
-	resultsOnce sync.Once
 	prewarm     []Kind
 	store       *store.Store // nil when persistence is disabled
+
+	// systems shares calibrated systems across experiments, scenarios and
+	// goroutines: each distinct configuration calibrates (a short
+	// CPU-simulation sample, the expensive part of building a system) once
+	// per Runner. Keys are a content fingerprint of the full configuration,
+	// so a scenario whose overrides resolve to a Table-1 default shares the
+	// registry experiments' calibration.
+	systems fill.Group[string, *core.System]
+	// results memoizes Results per experiment id. Experiment outputs are
+	// deterministic (pinned by TestGoldenOutputs), so a memoized Result is
+	// indistinguishable from a fresh run, apart from being ~instant.
+	results fill.Group[string, cachedResult]
 }
 
 // RunnerOption configures a Runner.
@@ -228,20 +96,6 @@ func WithSystems(kinds ...Kind) RunnerOption {
 	return func(r *Runner) { r.prewarm = append(r.prewarm, kinds...) }
 }
 
-// WithCalibrationCache toggles the shared calibrated-system cache
-// (default on). Disabling it restores the historical
-// calibrate-per-experiment behavior — useful to bound memory or to force
-// fully independent runs.
-func WithCalibrationCache(enabled bool) RunnerOption {
-	return func(r *Runner) {
-		if enabled && r.cache == nil {
-			r.cache = newSystemCache()
-		} else if !enabled {
-			r.cache = nil
-		}
-	}
-}
-
 // WithStore attaches a persistent content-addressed store: computed
 // results, scenario outputs, and calibration snapshots write through to
 // it, and future Runners (including future processes) sharing the same
@@ -254,15 +108,10 @@ func WithStore(st *store.Store) RunnerOption {
 
 // NewRunner builds a Runner.
 func NewRunner(opts ...RunnerOption) *Runner {
-	r := &Runner{parallelism: 1, cache: newSystemCache(), results: newResultCache()}
+	r := &Runner{parallelism: 1}
+	r.systems.Cap = maxCachedSystems
 	for _, o := range opts {
 		o(r)
-	}
-	// Wire after the options run: WithCalibrationCache may have rebuilt or
-	// dropped the cache, and WithStore may appear in any order relative
-	// to it.
-	if r.cache != nil {
-		r.cache.store = r.store
 	}
 	return r
 }
@@ -271,15 +120,57 @@ func NewRunner(opts ...RunnerOption) *Runner {
 // disabled).
 func (r *Runner) Store() *store.Store { return r.store }
 
-// resultsCache returns the result cache, building it on first use so the
-// zero-value Runner supports Cached too.
-func (r *Runner) resultsCache() *resultCache {
-	r.resultsOnce.Do(func() {
-		if r.results == nil {
-			r.results = newResultCache()
+// throughStore is the persistent-store tier of every Runner fill: a
+// payload under ns/key (disk, then peers) that decodes is served as is,
+// and anything else (no store, a miss, a payload that fails to decode)
+// computes and writes the value through, best-effort. The bool reports a
+// store hit. The store is an accelerator, never a correctness dependency:
+// none of its failures fails the compute.
+func throughStore[T any](ctx context.Context, st *store.Store, ns store.Namespace, key string,
+	decode func([]byte) (T, error), encode func(T) ([]byte, error), compute func() (T, error)) (T, bool, error) {
+	if st != nil {
+		if b, ok := st.GetOrFetch(ctx, ns, key); ok {
+			if v, err := decode(b); err == nil {
+				return v, true, nil
+			}
 		}
-	})
-	return r.results
+	}
+	v, err := compute()
+	if err == nil && st != nil {
+		if b, err := encode(v); err == nil {
+			_ = st.Put(ns, key, b) // a full disk must not fail the run
+		}
+	}
+	return v, false, err
+}
+
+// calibrated returns the calibrated system for cfg from the calibration
+// cache, restoring a persisted snapshot or calibrating on first use.
+// With every cache slot holding an in-flight calibration it calibrates
+// without caching rather than failing.
+func (r *Runner) calibrated(cfg config.Config) (*core.System, error) {
+	key := configFingerprint(cfg)
+	if sys, err, ok := r.systems.Peek(key); ok {
+		return sys, err
+	}
+	calibrate := func(ctx context.Context) (*core.System, error) {
+		sys, _, err := throughStore(ctx, r.store, store.Calibrations, key,
+			func(b []byte) (*core.System, error) {
+				var snap core.CalibrationSnapshot
+				if err := json.Unmarshal(b, &snap); err != nil {
+					return nil, err
+				}
+				return core.NewSystemFromSnapshot(cfg, snap)
+			},
+			func(sys *core.System) ([]byte, error) { return json.Marshal(sys.Snapshot()) },
+			func() (*core.System, error) { return core.NewSystemFromConfig(cfg) })
+		return sys, err
+	}
+	sys, err := r.systems.Do(context.Background(), key, calibrate)
+	if errors.Is(err, fill.ErrBusy) {
+		return calibrate(context.Background())
+	}
+	return sys, err
 }
 
 // Cached returns the experiment's Result from the Runner's result cache,
@@ -296,53 +187,31 @@ func (r *Runner) Cached(ctx context.Context, id string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := r.resultsCache().entry(id)
-	e.once.Do(func() {
-		go func() {
-			defer close(e.done)
-			detached := context.WithoutCancel(ctx)
-			if res, ok := r.resultFromStore(detached, id); ok {
-				e.res, e.fromStore = res, true
-				return
-			}
-			e.res, e.err = r.Run(detached, id)
-			if e.err == nil {
-				r.persistResult(id, e.res)
-			}
-		}()
+	if c, err, ok := r.results.Peek(id); ok {
+		return c.res, err
+	}
+	c, err := r.results.Do(ctx, id, func(ctx context.Context) (cachedResult, error) {
+		res, fromStore, err := throughStore(ctx, r.store, store.Results, id,
+			func(b []byte) (*Result, error) {
+				res, err := DecodeStoredResult(b)
+				if err == nil && res.ID != id {
+					// The envelope checksum already passed, so this is a
+					// misfiled entry, not corruption; treat it as a miss.
+					err = fmt.Errorf("stored result is %s, not %s", res.ID, id)
+				}
+				return res, err
+			},
+			(*Result).EncodeStored,
+			func() (*Result, error) { return r.Run(ctx, id) })
+		return cachedResult{res, fromStore}, err
 	})
-	select {
-	case <-e.done:
-		return e.res, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// resultFromStore tries the persistent store (disk, then peers) for an
-// experiment result. Any failure — no store, miss, undecodable or
-// mismatched payload — is a clean false; the caller recomputes.
-func (r *Runner) resultFromStore(ctx context.Context, id string) (*Result, bool) {
-	if r.store == nil {
-		return nil, false
-	}
-	b, ok := r.store.GetOrFetch(ctx, store.Results, id)
-	if !ok {
-		return nil, false
-	}
-	res, err := DecodeStoredResult(b)
-	if err != nil || res.ID != id {
-		// The envelope checksum already passed, so this is schema drift or a
-		// misfiled entry, not corruption; treat it as a miss.
-		return nil, false
-	}
-	return res, true
+	return c.res, err
 }
 
 // persistResult writes a computed result through to the store,
 // best-effort: persistence failures never fail the run.
 func (r *Runner) persistResult(id string, res *Result) {
-	if r.store == nil || res == nil {
+	if r.store == nil {
 		return
 	}
 	if b, err := res.EncodeStored(); err == nil {
@@ -353,7 +222,8 @@ func (r *Runner) persistResult(id string, res *Result) {
 // ResultCached reports whether Cached(id) would be served from memory
 // (the experiment has finished computing in this Runner).
 func (r *Runner) ResultCached(id string) bool {
-	return r.resultsCache().cached(id)
+	_, _, ok := r.results.Peek(id)
+	return ok
 }
 
 // ResultFromStore reports whether the memoized result for id was loaded
@@ -361,29 +231,22 @@ func (r *Runner) ResultCached(id string) bool {
 // while the experiment is still computing, was computed locally, or was
 // never requested.
 func (r *Runner) ResultFromStore(id string) bool {
-	return r.resultsCache().fromStore(id)
+	c, _, ok := r.results.Peek(id)
+	return ok && c.fromStore
 }
 
 // env builds the experiment environment backed by this Runner's cache.
 func (r *Runner) env() *experiments.Env {
-	if r.cache == nil {
-		return nil // on-demand, uncached systems
-	}
 	return &experiments.Env{
 		Systems: func(kind config.SystemKind) (*core.System, error) {
-			return r.cache.get(config.Default(kind))
+			return r.calibrated(config.Default(kind))
 		},
-		Configs: r.cache.get,
+		Configs: r.calibrated,
 	}
 }
 
 // warm calibrates the pre-declared systems, honoring ctx between kinds.
-// Without a cache there is nothing to keep the results in, so prewarming
-// would calibrate and discard on every call — skip it.
 func (r *Runner) warm(ctx context.Context) error {
-	if r.cache == nil {
-		return nil
-	}
 	env := r.env()
 	for _, k := range r.prewarm {
 		if err := ctx.Err(); err != nil {
@@ -446,27 +309,19 @@ func (r *Runner) RunScenarioCached(ctx context.Context, spec Scenario) (*Result,
 			return nil, false, err
 		}
 		fp = spec.Fingerprint()
-		// The envelope already binds namespace, key and checksum, so a
-		// decodable payload under this fingerprint is the scenario's result
-		// (its ID is the scenario's name, not the fingerprint).
-		if b, ok := r.store.GetOrFetch(ctx, store.Scenarios, fp); ok {
-			if res, err := DecodeStoredResult(b); err == nil {
-				return res, true, nil
+	}
+	// The envelope already binds namespace, key and checksum, so a
+	// decodable payload under this fingerprint is the scenario's result
+	// (its ID is the scenario's name, not the fingerprint).
+	return throughStore(ctx, r.store, store.Scenarios, fp, DecodeStoredResult, (*Result).EncodeStored,
+		func() (*Result, error) {
+			start := time.Now()
+			rep, err := scenario.Run(r.env(), spec)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	start := time.Now()
-	rep, err := scenario.Run(r.env(), spec)
-	if err != nil {
-		return nil, false, err
-	}
-	res := newResult(rep, time.Since(start))
-	if r.store != nil {
-		if b, err := res.EncodeStored(); err == nil {
-			_ = r.store.Put(store.Scenarios, fp, b)
-		}
-	}
-	return res, false, nil
+			return newResult(rep, time.Since(start)), nil
+		})
 }
 
 // WarmAll populates the Runner's in-memory result cache for every
@@ -486,66 +341,19 @@ func (r *Runner) WarmAll(ctx context.Context, ids ...string) (fromStore, compute
 	if err := r.warm(ctx); err != nil {
 		return 0, 0, err
 	}
-
-	jobs := make(chan string, len(ids))
-	for _, id := range ids {
-		jobs <- id
-	}
-	close(jobs)
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		stopped  atomic.Bool
-		nStore   atomic.Int64
-		nComp    atomic.Int64
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stopped.Store(true)
-	}
-
-	workers := r.parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				if stopped.Load() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					continue
-				}
-				if _, err := r.Cached(ctx, id); err != nil {
-					fail(fmt.Errorf("experiment %s: %w", id, err))
-					continue
-				}
-				if r.ResultFromStore(id) {
-					nStore.Add(1)
-				} else {
-					nComp.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return int(nStore.Load()), int(nComp.Load()), firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return int(nStore.Load()), int(nComp.Load()), err
-	}
-	return int(nStore.Load()), int(nComp.Load()), nil
+	var nStore, nComp atomic.Int64
+	err = r.fanOut(ctx, len(ids), func(i int) error {
+		if _, err := r.Cached(ctx, ids[i]); err != nil {
+			return fmt.Errorf("experiment %s: %w", ids[i], err)
+		}
+		if r.ResultFromStore(ids[i]) {
+			nStore.Add(1)
+		} else {
+			nComp.Add(1)
+		}
+		return nil
+	})
+	return int(nStore.Load()), int(nComp.Load()), err
 }
 
 // RunAll regenerates the given experiments (all registered ones when ids
@@ -563,11 +371,34 @@ func (r *Runner) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 	if err := r.warm(ctx); err != nil {
 		return nil, err
 	}
-
 	env := r.env()
 	results := make([]*Result, len(ids))
-	jobs := make(chan int, len(ids))
-	for i := range ids {
+	if err := r.fanOut(ctx, len(ids), func(i int) error {
+		start := time.Now()
+		rep, err := experiments.RunWith(env, ids[i])
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", ids[i], err)
+		}
+		results[i] = newResult(rep, time.Since(start))
+		// Completed results also warm the Cached store, so RunAll (e.g.
+		// tensorteed -warm) pre-populates what Cached will serve.
+		r.results.Seed(ids[i], cachedResult{res: results[i]})
+		r.persistResult(ids[i], results[i])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// fanOut runs do(0..n-1) over a pool of WithParallelism workers. The
+// first error, or a cancelled ctx, stops the pool: queued items drain
+// without running and the error is returned. A cancellation racing the
+// last item may leave no recorded error but a dead context; that is
+// returned too, rather than reporting partial work as complete.
+func (r *Runner) fanOut(ctx context.Context, n int, do func(i int) error) error {
+	jobs := make(chan int, n)
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
@@ -582,14 +413,8 @@ func (r *Runner) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 		errOnce.Do(func() { firstErr = err })
 		stopped.Store(true)
 	}
-
-	workers := r.parallelism
-	if workers < 1 {
-		workers = 1 // a zero-value Runner still makes progress
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	// A zero-value Runner (parallelism 0) still makes progress.
+	workers := min(max(r.parallelism, 1), n)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -602,30 +427,15 @@ func (r *Runner) RunAll(ctx context.Context, ids ...string) ([]*Result, error) {
 					fail(err)
 					continue
 				}
-				start := time.Now()
-				rep, err := experiments.RunWith(env, ids[i])
-				if err != nil {
-					fail(fmt.Errorf("experiment %s: %w", ids[i], err))
-					continue
+				if err := do(i); err != nil {
+					fail(err)
 				}
-				results[i] = newResult(rep, time.Since(start))
-				// Completed results also warm the Cached store, so
-				// RunAll (e.g. tensorteed -warm) pre-populates what
-				// Cached will serve.
-				r.resultsCache().seed(ids[i], results[i])
-				r.persistResult(ids[i], results[i])
 			}
 		}()
 	}
 	wg.Wait()
-
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	// A cancellation racing the last job may leave no recorded error but a
-	// dead context; surface it rather than returning partial results.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return ctx.Err()
 }

@@ -3,9 +3,14 @@ package tensortee
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"tensortee/internal/config"
+	"tensortee/internal/core"
+	"tensortee/internal/experiments"
 )
 
 // fastIDs are experiments cheap enough to fan out in unit tests; fig5
@@ -120,21 +125,21 @@ func TestRunAllCancelMidRun(t *testing.T) {
 
 // TestCalibrationCacheIdentical pins that sharing calibrated systems does
 // not change any reported number: a cached run of fig5 must produce
-// byte-identical tables and scalars to an uncached (per-experiment
-// calibration) run.
+// byte-identical tables and scalars to the uncached reference path
+// (experiments.RunWith with a nil Env calibrates per experiment).
 func TestCalibrationCacheIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrates six systems")
 	}
-	ctx := context.Background()
-	cached, err := NewRunner(WithCalibrationCache(true)).Run(ctx, "fig5")
+	cached, err := NewRunner().Run(context.Background(), "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := NewRunner(WithCalibrationCache(false)).Run(ctx, "fig5")
+	rep, err := experiments.RunWith(nil, "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
+	uncached := newResult(rep, 0)
 	if !reflect.DeepEqual(cached.Tables, uncached.Tables) {
 		t.Errorf("cached tables differ from uncached:\n%s\nvs\n%s", cached.Text(), uncached.Text())
 	}
@@ -162,6 +167,33 @@ func TestCalibrationCacheReused(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Scalars, second.Scalars) {
 		t.Errorf("repeated run not deterministic: %v vs %v", first.Scalars, second.Scalars)
+	}
+}
+
+// TestCalibrationCacheFullCalibratesUncached pins the refusal fallback:
+// with every calibration-cache slot holding an in-flight calibration, a
+// new configuration still calibrates (uncached) instead of failing.
+func TestCalibrationCacheFullCalibratesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates a system")
+	}
+	r := NewRunner()
+	gate := make(chan struct{})
+	defer close(gate)
+	for i := 0; i < maxCachedSystems; i++ {
+		if err := r.systems.Start(context.Background(), fmt.Sprint("in-flight-", i), func(context.Context) (*core.System, error) {
+			<-gate
+			return nil, errors.New("never used")
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := r.calibrated(config.Default(config.NonSecure))
+	if err != nil || sys == nil {
+		t.Fatalf("calibration with a full cache = %v, %v; want an uncached system", sys, err)
+	}
+	if n := r.systems.Len(); n != maxCachedSystems {
+		t.Errorf("cache entries = %d, want the cap %d", n, maxCachedSystems)
 	}
 }
 
@@ -200,6 +232,10 @@ func TestCachedReturnsSameResult(t *testing.T) {
 	}
 	if first != second {
 		t.Error("Cached recomputed: distinct *Result pointers for the same id")
+	}
+	// A memory hit starts no goroutine and builds no fill closure.
+	if n := testing.AllocsPerRun(100, func() { _, _ = r.Cached(ctx, "tab2") }); n != 0 {
+		t.Errorf("memory hit allocates %v times, want 0", n)
 	}
 	if r.ResultCached("tab1") {
 		t.Error("ResultCached = true for an id never requested")
@@ -305,26 +341,5 @@ func TestZeroValueRunnerCached(t *testing.T) {
 	}
 	if res.ID != "tab1" {
 		t.Fatalf("res.ID = %s", res.ID)
-	}
-}
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	out, err := RunExperiment("tab2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewRunner().Run(context.Background(), "tab2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != res.Text() {
-		t.Error("RunExperiment output diverged from Result.Text()")
-	}
-	v, err := ExperimentScalar("tab2", "models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 12 {
-		t.Errorf("models scalar = %g, want 12", v)
 	}
 }

@@ -124,7 +124,7 @@ func TestScenarioSharesCalibration(t *testing.T) {
 	if _, err := r.RunScenario(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.cache.entries); n != 1 {
+	if n := r.systems.Len(); n != 1 {
 		t.Fatalf("cache entries after first run = %d, want 1", n)
 	}
 	// Same config (different model) → same calibration entry.
@@ -132,7 +132,7 @@ func TestScenarioSharesCalibration(t *testing.T) {
 	if _, err := r.RunScenario(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.cache.entries); n != 1 {
+	if n := r.systems.Len(); n != 1 {
 		t.Errorf("cache entries after same-config run = %d, want 1", n)
 	}
 	// Overridden config → its own entry.
@@ -140,7 +140,7 @@ func TestScenarioSharesCalibration(t *testing.T) {
 	if _, err := r.RunScenario(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.cache.entries); n != 2 {
+	if n := r.systems.Len(); n != 2 {
 		t.Errorf("cache entries after override run = %d, want 2", n)
 	}
 }

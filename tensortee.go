@@ -34,7 +34,6 @@
 package tensortee
 
 import (
-	"context"
 	"time"
 
 	"tensortee/internal/config"
@@ -252,31 +251,3 @@ func ScenarioMetrics() []string { return scenario.Metrics() }
 
 // ScenarioSweepAxes lists the valid scenario sweep axis names.
 func ScenarioSweepAxes() []string { return scenario.SweepAxes() }
-
-// RunExperiment regenerates one of the paper's tables or figures and
-// returns the rendered report.
-//
-// Deprecated: use Runner.Run, which returns a typed Result (render with
-// Result.Text for the same output) and shares calibration across
-// experiments.
-func RunExperiment(id string) (string, error) {
-	res, err := NewRunner().Run(context.Background(), id)
-	if err != nil {
-		return "", err
-	}
-	return res.Text(), nil
-}
-
-// ExperimentScalar runs an experiment and returns one of its headline
-// numbers (e.g. fig16's "avg_speedup").
-//
-// Deprecated: use Runner.Run and Result.Scalar — re-running a whole
-// experiment per scalar repeats all of its simulations; the typed Result
-// exposes every scalar from a single run.
-func ExperimentScalar(id, name string) (float64, error) {
-	res, err := NewRunner().Run(context.Background(), id)
-	if err != nil {
-		return 0, err
-	}
-	return res.Scalar(name)
-}

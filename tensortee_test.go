@@ -1,7 +1,6 @@
 package tensortee
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -35,32 +34,6 @@ func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) < 14 {
 		t.Errorf("experiments = %d, want >= 14", len(ids))
-	}
-}
-
-func TestRunExperimentTab2(t *testing.T) {
-	out, err := RunExperiment("tab2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "GPT2-M") {
-		t.Error("tab2 output missing models")
-	}
-	if _, err := RunExperiment("bogus"); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestExperimentScalar(t *testing.T) {
-	v, err := ExperimentScalar("hw", "total_kb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v < 18 || v > 30 {
-		t.Errorf("hw total = %g KB", v)
-	}
-	if _, err := ExperimentScalar("hw", "nope"); err == nil {
-		t.Error("unknown scalar accepted")
 	}
 }
 
