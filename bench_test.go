@@ -9,6 +9,7 @@
 package tensortee
 
 import (
+	"context"
 	"testing"
 
 	"tensortee/internal/config"
@@ -292,6 +293,30 @@ func BenchmarkTrainStepAllModels(b *testing.B) {
 			for _, m := range workload.Models() {
 				s.TrainStep(m)
 			}
+		}
+	}
+}
+
+// BenchmarkScenarioFill times one uncached custom-scenario fill on the
+// three default systems (calibrations already cached, no store): the
+// model compile plus three TrainSteps and the report, as a daemon
+// scenario POST computes it.
+func BenchmarkScenarioFill(b *testing.B) {
+	r := NewRunner()
+	spec := Scenario{
+		Name:    "bench-fill",
+		Model:   ScenarioModel{Layers: 24, Hidden: 1024, Heads: 16, FFNDim: 4096, Vocab: 50257, Batch: 4, SeqLen: 1024},
+		Systems: []ScenarioSystem{{Kind: "non-secure"}, {Kind: "sgx-mgx"}, {Kind: "tensortee"}},
+	}
+	ctx := context.Background()
+	if _, err := r.RunScenario(ctx, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RunScenario(ctx, spec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

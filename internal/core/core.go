@@ -202,12 +202,14 @@ func (s *System) CPUAdamWarmupTime(m workload.Model) sim.Dur {
 	return sim.FromSeconds(bytes * s.cpuWarmupPerByte)
 }
 
-// NPUPhases times the forward and backward passes.
+// NPUPhases times the forward and backward passes, deriving the backward
+// GEMMs from the one forward list.
 func (s *System) NPUPhases(m workload.Model) (fwd, bwd sim.Dur) {
 	scheme, gran := s.npuScheme()
 	n := npusim.New(npusim.FromSystem(&s.Cfg, scheme, gran))
-	fwd = n.RunLayers(m.ForwardGEMMs()).Total
-	bwd = n.RunLayers(m.BackwardGEMMs()).Total
+	gs := m.ForwardGEMMs()
+	fwd = n.RunLayers(gs).Total
+	bwd = n.RunLayers(workload.BackwardOf(gs)).Total
 	return fwd, bwd
 }
 

@@ -15,7 +15,10 @@
 package npumac
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"tensortee/internal/crypto"
 )
@@ -62,24 +65,28 @@ func StorageOverhead(s Scheme, granBytes, macBytes int) float64 {
 	}
 }
 
-// TensorID names a tensor in NPU device memory.
+// TensorID names a tensor in NPU device memory. IDs are small sequential
+// integers handed out from 0 (the NPU model and the functional Platform
+// both count up), so the Verifier keeps tensor states in a slice indexed
+// by ID; its memory grows with the largest ID it has been handed. A
+// negative ID reads as never touched, and starting or writing one panics.
 type TensorID int
 
-// tensorState tracks one tensor's delayed-verification status.
+// tensorState tracks one tensor's delayed-verification status. The zero
+// value is a never-touched tensor.
 type tensorState struct {
-	id TensorID
-	// poisoned: the tensor (or a tensor it was computed from) has pending
-	// unverified input data (Figure 14c poison bits).
-	poisoned bool
 	// pendingMAC is the XOR accumulation of recomputed line MACs for
 	// in-flight verification.
 	pendingMAC uint64
-	pendingSet bool
 	// refMAC is the trusted reference (from the on-chip table or the
 	// trusted channel at import).
 	refMAC uint64
-	refSet bool
-	failed bool
+	// poisoned: the tensor (or a tensor it was computed from) has pending
+	// unverified input data (Figure 14c poison bits).
+	poisoned   bool
+	pendingSet bool
+	refSet     bool
+	failed     bool
 }
 
 // VerificationError reports a delayed-verification failure.
@@ -102,7 +109,7 @@ func (e *VerificationError) Error() string {
 // enforces barriers before communication.
 type Verifier struct {
 	maxUnverified int
-	states        map[TensorID]*tensorState
+	states        []tensorState // indexed by TensorID
 	unverified    int
 	// codeVerifies counts inline (non-delayed) code-fetch verifications.
 	codeVerifies  uint64
@@ -118,20 +125,31 @@ func NewVerifier(maxUnverified int) *Verifier {
 	if maxUnverified <= 0 {
 		maxUnverified = 64
 	}
-	return &Verifier{
-		maxUnverified: maxUnverified,
-		states:        make(map[TensorID]*tensorState),
-	}
+	return &Verifier{maxUnverified: maxUnverified}
 }
 
-func (v *Verifier) state(id TensorID) *tensorState {
-	s, ok := v.states[id]
-	if !ok {
-		s = &tensorState{id: id}
-		v.states[id] = s
+// lookup returns a tensor's state, or nil if it was never touched; a
+// negative ID never is.
+func (v *Verifier) lookup(id TensorID) *tensorState {
+	if id < 0 || int(id) >= len(v.states) {
+		return nil
 	}
-	return s
+	return &v.states[id]
 }
+
+// state returns a tensor's state, creating a clean one on first touch.
+func (v *Verifier) state(id TensorID) *tensorState {
+	if id < 0 {
+		panic(fmt.Sprintf("npumac: negative tensor ID %d", id))
+	}
+	for len(v.states) <= int(id) {
+		v.states = append(v.states, tensorState{})
+	}
+	return &v.states[id]
+}
+
+// Reserve makes room for n more sequential tensor IDs.
+func (v *Verifier) Reserve(n int) { v.states = slices.Grow(v.states, n) }
 
 // Unverified reports the number of tensors currently poisoned.
 func (v *Verifier) Unverified() int { return v.unverified }
@@ -171,8 +189,8 @@ func (v *Verifier) AccumulateLine(id TensorID, lineMAC uint64) {
 // recomputed line MACs must equal the reference. On success the poison bit
 // clears; on failure the tensor is marked failed and stays poisoned.
 func (v *Verifier) CompleteRead(id TensorID) error {
-	s := v.state(id)
-	if !s.refSet {
+	s := v.lookup(id)
+	if s == nil || !s.refSet {
 		return &VerificationError{Tensor: id, Reason: "no reference MAC"}
 	}
 	if s.pendingMAC != s.refMAC {
@@ -193,7 +211,7 @@ func (v *Verifier) CompleteRead(id TensorID) error {
 func (v *Verifier) Propagate(dst TensorID, srcs ...TensorID) {
 	poison := false
 	for _, src := range srcs {
-		if s, ok := v.states[src]; ok && (s.poisoned || s.failed) {
+		if s := v.lookup(src); s != nil && (s.poisoned || s.failed) {
 			poison = true
 			break
 		}
@@ -213,8 +231,8 @@ func (v *Verifier) Propagate(dst TensorID, srcs ...TensorID) {
 
 // Poisoned reports a tensor's poison bit.
 func (v *Verifier) Poisoned(id TensorID) bool {
-	s, ok := v.states[id]
-	return ok && (s.poisoned || s.failed)
+	s := v.lookup(id)
+	return s != nil && (s.poisoned || s.failed)
 }
 
 // Barrier implements the verification_barrier pragma (Figure 14a): it
@@ -226,8 +244,8 @@ func (v *Verifier) Poisoned(id TensorID) bool {
 func (v *Verifier) Barrier(ids ...TensorID) error {
 	v.barrierChecks++
 	for _, id := range ids {
-		s, ok := v.states[id]
-		if !ok {
+		s := v.lookup(id)
+		if s == nil {
 			continue // never touched: trivially clean
 		}
 		if s.failed {
@@ -244,12 +262,35 @@ func (v *Verifier) Barrier(ids ...TensorID) error {
 // (isInst-flagged requests): the line MAC must match immediately, before
 // the instruction issues.
 func (v *Verifier) VerifyCode(lineMAC, refMAC uint64) error {
-	v.codeVerifies++
-	if lineMAC != refMAC {
-		v.codeFailures++
-		return &VerificationError{Tensor: -1, Reason: "code line MAC mismatch"}
+	return v.VerifyCodeLines([]uint64{lineMAC}, []uint64{refMAC})
+}
+
+// VerifyCodeLines is VerifyCode over a whole kernel's code lines in one
+// call: every line i is compared against refMACs[i] and counted, each
+// mismatching line counts as a code failure, and any mismatch returns a
+// *VerificationError on tensor -1. The two slices must have equal length.
+func (v *Verifier) VerifyCodeLines(lineMACs, refMACs []uint64) error {
+	if len(lineMACs) != len(refMACs) {
+		panic(fmt.Sprintf("npumac: %d code lines but %d reference MACs", len(lineMACs), len(refMACs)))
 	}
-	return nil
+	v.codeVerifies += uint64(len(lineMACs))
+	// Equal MACs have equal bytes, so one vectorized memory compare checks
+	// every line; only a mismatch takes a second pass to count the failing
+	// lines.
+	if bytes.Equal(macBytes(lineMACs), macBytes(refMACs)) {
+		return nil
+	}
+	for i, mac := range lineMACs {
+		if mac != refMACs[i] {
+			v.codeFailures++
+		}
+	}
+	return &VerificationError{Tensor: -1, Reason: "code line MAC mismatch"}
+}
+
+// macBytes views MAC words as their in-memory bytes.
+func macBytes(macs []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(macs))), 8*len(macs))
 }
 
 // Stats reports verifier activity.
@@ -274,6 +315,6 @@ func (v *Verifier) Stats() Stats {
 
 // Reset clears all tensor states (e.g. at kernel-graph boundaries).
 func (v *Verifier) Reset() {
-	v.states = make(map[TensorID]*tensorState)
+	v.states = v.states[:0]
 	v.unverified = 0
 }

@@ -113,6 +113,11 @@ func (c Config) PeakFLOPs() float64 {
 // (Section 4.3), so each code line pays an inline MAC check before issue.
 const KernelCodeBytes = 8 << 10
 
+// kernelCodeMACs are the MACs recomputed over a kernel's fetched code
+// lines, and kernelCodeRefMACs the trusted per-line reference MACs. The
+// modelled code is untampered, so the two tables agree line by line.
+var kernelCodeMACs, kernelCodeRefMACs [KernelCodeBytes / 64]uint64
+
 // LayerResult is the timing of one GEMM.
 type LayerResult struct {
 	Name string
@@ -312,14 +317,11 @@ func (n *NPU) RunGEMM(g GEMM) LayerResult {
 	// Kernel code fetch: always inline-verified (non-delayed), stream +
 	// one MAC latency per code line before the first instruction issues.
 	if cfg.Secure {
-		codeLines := KernelCodeBytes / 64
 		res.CodeFetch = sim.BytesAt(KernelCodeBytes, cfg.BandwidthBs) +
 			n.cycles(float64(cfg.MACLatCycles))
-		for i := 0; i < codeLines; i++ {
-			// Functional check: untampered code verifies.
-			if err := n.verifier.VerifyCode(0x1234, 0x1234); err != nil {
-				panic("npusim: clean code failed verification")
-			}
+		// Functional check: every line of untampered code verifies.
+		if err := n.verifier.VerifyCodeLines(kernelCodeMACs[:], kernelCodeRefMACs[:]); err != nil {
+			panic("npusim: clean code failed verification")
 		}
 	}
 
@@ -346,7 +348,12 @@ func (n *NPU) RunGEMM(g GEMM) LayerResult {
 
 // RunLayers times a sequence of dependent GEMMs.
 func (n *NPU) RunLayers(gs []GEMM) Result {
-	var r Result
+	r := Result{Layers: make([]LayerResult, 0, len(gs))}
+	if n.cfg.Secure && n.cfg.Scheme == npumac.SchemeTensorDelayed {
+		// RunGEMM's delayed-verification bookkeeping takes three tensor
+		// IDs per GEMM.
+		n.verifier.Reserve(3 * len(gs))
+	}
 	for _, g := range gs {
 		l := n.RunGEMM(g)
 		r.Layers = append(r.Layers, l)

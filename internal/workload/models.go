@@ -7,6 +7,8 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"tensortee/internal/npusim"
 	"tensortee/internal/tensor"
@@ -82,42 +84,82 @@ func (m Model) TrainFLOPs() float64 {
 
 // --- GEMM enumeration -------------------------------------------------------
 
+// layerGEMMs names the per-layer forward GEMMs in execution order.
+var layerGEMMs = [...]string{"qkv", "attn.score", "attn.ctx", "attn.out", "ffn.up", "ffn.down"}
+
 // ForwardGEMMs enumerates the forward-pass GEMMs of one training step.
+// All GEMM names share one string buffer.
 func (m Model) ForwardGEMMs() []npusim.GEMM {
 	bs := m.BatchSize * m.SeqLen
-	var gs []npusim.GEMM
+	attnM := m.BatchSize * m.Heads * m.SeqLen
+	headDim := m.Hidden / m.Heads
+
+	var prefix [22]byte
+	// Every layer prefix "l<index>." is at most this long.
+	width := len(strconv.AppendInt(prefix[:0], int64(m.Layers), 10)) + 2
+	size := len("lm_head")
+	for _, op := range layerGEMMs {
+		size += m.Layers * (width + len(op))
+	}
+	var names strings.Builder
+	names.Grow(size)
+	name := func(prefix []byte, op string) string {
+		start := names.Len()
+		names.Write(prefix)
+		names.WriteString(op)
+		return names.String()[start:]
+	}
+
+	gs := make([]npusim.GEMM, 0, len(layerGEMMs)*m.Layers+1)
 	for l := 0; l < m.Layers; l++ {
-		p := fmt.Sprintf("l%d.", l)
+		p := append(strconv.AppendInt(append(prefix[:0], 'l'), int64(l), 10), '.')
 		gs = append(gs,
-			npusim.GEMM{Name: p + "qkv", M: bs, K: m.Hidden, N: 3 * m.Hidden},
+			npusim.GEMM{Name: name(p, "qkv"), M: bs, K: m.Hidden, N: 3 * m.Hidden},
 			// Attention scores and context, folded across heads:
 			// [B*heads*S, H/heads] x [H/heads, S] then [B*heads*S, S] x
 			// [S, H/heads]. The S x S score matrix stays on chip between
 			// the two (fused softmax — the "inter-layer optimization" of
 			// Section 5.1), so scores skip the GDDR round trip.
-			npusim.GEMM{Name: p + "attn.score", M: m.BatchSize * m.Heads * m.SeqLen, K: m.Hidden / m.Heads, N: m.SeqLen, NoStoreC: true},
-			npusim.GEMM{Name: p + "attn.ctx", M: m.BatchSize * m.Heads * m.SeqLen, K: m.SeqLen, N: m.Hidden / m.Heads, NoLoadA: true},
-			npusim.GEMM{Name: p + "attn.out", M: bs, K: m.Hidden, N: m.Hidden},
-			npusim.GEMM{Name: p + "ffn.up", M: bs, K: m.Hidden, N: m.FFNDim},
-			npusim.GEMM{Name: p + "ffn.down", M: bs, K: m.FFNDim, N: m.Hidden},
+			npusim.GEMM{Name: name(p, "attn.score"), M: attnM, K: headDim, N: m.SeqLen, NoStoreC: true},
+			npusim.GEMM{Name: name(p, "attn.ctx"), M: attnM, K: m.SeqLen, N: headDim, NoLoadA: true},
+			npusim.GEMM{Name: name(p, "attn.out"), M: bs, K: m.Hidden, N: m.Hidden},
+			npusim.GEMM{Name: name(p, "ffn.up"), M: bs, K: m.Hidden, N: m.FFNDim},
+			npusim.GEMM{Name: name(p, "ffn.down"), M: bs, K: m.FFNDim, N: m.Hidden},
 		)
 	}
 	// Output head (tied embedding).
-	gs = append(gs, npusim.GEMM{Name: "lm_head", M: bs, K: m.Hidden, N: m.Vocab})
+	gs = append(gs, npusim.GEMM{Name: name(nil, "lm_head"), M: bs, K: m.Hidden, N: m.Vocab})
 	return gs
 }
 
-// BackwardGEMMs enumerates the backward pass: for every forward GEMM
-// [M,K]x[K,N], backprop runs a data-gradient GEMM [M,N]x[N,K] and a
-// weight-gradient GEMM [K,M]x[M,N].
-func (m Model) BackwardGEMMs() []npusim.GEMM {
-	var gs []npusim.GEMM
-	for _, g := range m.ForwardGEMMs() {
+// BackwardGEMMs enumerates the backward pass; see BackwardOf.
+func (m Model) BackwardGEMMs() []npusim.GEMM { return BackwardOf(m.ForwardGEMMs()) }
+
+// BackwardOf derives the backward pass from a forward GEMM list: for
+// every forward GEMM [M,K]x[K,N], backprop runs a data-gradient GEMM
+// [M,N]x[N,K] and a weight-gradient GEMM [K,M]x[M,N]. All names share
+// one string buffer.
+func BackwardOf(fwd []npusim.GEMM) []npusim.GEMM {
+	size := 0
+	for _, g := range fwd {
+		size += 2*len(g.Name) + len(".dgrad") + len(".wgrad")
+	}
+	var names strings.Builder
+	names.Grow(size)
+	name := func(base, suffix string) string {
+		start := names.Len()
+		names.WriteString(base)
+		names.WriteString(suffix)
+		return names.String()[start:]
+	}
+
+	gs := make([]npusim.GEMM, 0, 2*len(fwd))
+	for _, g := range fwd {
 		// Fused-attention gradients stay on chip the same way the forward
 		// scores do (flash-style backward recomputation).
 		gs = append(gs,
-			npusim.GEMM{Name: g.Name + ".dgrad", M: g.M, K: g.N, N: g.K, NoLoadA: g.NoLoadA, NoStoreC: g.NoStoreC},
-			npusim.GEMM{Name: g.Name + ".wgrad", M: g.K, K: g.M, N: g.N, NoLoadA: g.NoLoadA, NoStoreC: g.NoStoreC},
+			npusim.GEMM{Name: name(g.Name, ".dgrad"), M: g.M, K: g.N, N: g.K, NoLoadA: g.NoLoadA, NoStoreC: g.NoStoreC},
+			npusim.GEMM{Name: name(g.Name, ".wgrad"), M: g.K, K: g.M, N: g.N, NoLoadA: g.NoLoadA, NoStoreC: g.NoStoreC},
 		)
 	}
 	return gs
