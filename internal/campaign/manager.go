@@ -409,11 +409,17 @@ func (m *Manager) evictForAdmitLocked() error {
 	return ErrBusy
 }
 
+// lookup returns a tracked campaign's job.
+func (m *Manager) lookup(id string) (*job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return j, ok
+}
+
 // Status returns a campaign's status snapshot.
 func (m *Manager) Status(id string) (Status, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return Status{}, false
 	}
@@ -452,9 +458,7 @@ func (m *Manager) Active() int {
 // Cancel and the drain finishing does not resurrect the job on restart.
 // Idempotent; cancelling a terminal campaign returns its status as-is.
 func (m *Manager) Cancel(id string) (Status, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return Status{}, ErrUnknown
 	}
@@ -480,9 +484,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 // every event carries full running counts, so a dropped event never
 // leaves a reader with wrong totals. The returned func detaches.
 func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return nil, nil, ErrUnknown
 	}
@@ -507,9 +509,7 @@ func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
 
 // Wait blocks until the campaign reaches a terminal state (or ctx ends).
 func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return Status{}, ErrUnknown
 	}
@@ -551,8 +551,10 @@ func (m *Manager) publish(j *job, ev Event) {
 }
 
 // execute is a campaign's dispatcher goroutine: persist the manifest,
-// restore checkpoints, dispatch remaining points onto the shared worker
-// pool, finalize.
+// restore checkpoints, then drive the campaign's policy — the enumerate
+// policy for a grid, a search policy otherwise — batch by batch through
+// the shared worker pool until it stops or the campaign is cancelled or
+// the manager stops; finalize.
 func (m *Manager) execute(j *job) {
 	defer m.wg.Done()
 	id := j.plan.ID
@@ -584,67 +586,180 @@ func (m *Manager) execute(j *job) {
 	}
 	m.publish(j, Event{Type: EventStarted})
 
-	if j.plan.Spec.Search != nil {
-		m.executeSearch(j)
+	sr, err := NewSearcher(j.plan)
+	if err != nil { // unreachable: Compile validated the search block
+		j.mu.Lock()
+		j.cancelled = true
+		j.mu.Unlock()
+		m.finalize(j)
 		return
 	}
-
-	var jwg sync.WaitGroup
-dispatch:
-	for i := 0; i < j.plan.Total; i++ {
-		j.mu.Lock()
-		pending := j.points[i] == PointPending
-		j.mu.Unlock()
-		if !pending {
-			continue
+	search := j.plan.Spec.Search != nil
+	terminated := ""
+	for !isClosed(m.stopCh) && !isClosed(j.cancelCh) {
+		prop := sr.Next()
+		if prop.Done {
+			terminated = prop.Reason
+			break
 		}
-		// An open breaker pauses dispatch (in-flight points drain): when
-		// the backend is sick, the batch tier stops feeding it.
-		for br := m.cfg.Breaker; br != nil && br.Open(); {
-			select {
-			case <-m.stopCh:
-				break dispatch
-			case <-j.cancelCh:
-				break dispatch
-			case <-time.After(m.breakerPoll):
-			}
+		outcomes, aborted := m.runBatch(j, prop.Indices)
+		if search {
+			m.observeBatch(j, sr, outcomes)
 		}
-		select {
-		case <-m.stopCh:
-			break dispatch
-		case <-j.cancelCh:
-			break dispatch
-		case m.sem <- struct{}{}:
+		if aborted {
+			break
 		}
-		j.mu.Lock()
-		j.points[i] = PointRunning
-		j.running++
-		j.mu.Unlock()
-		jwg.Add(1)
-		go m.runPoint(j, i, &jwg)
 	}
-	jwg.Wait()
+	if search {
+		if terminated == "" && isClosed(j.cancelCh) {
+			terminated = "cancelled"
+		}
+		snap := sr.Snapshot()
+		snap.Terminated = terminated
+		j.mu.Lock()
+		j.search = &snap
+		j.mu.Unlock()
+	}
 	m.finalize(j)
 }
 
-// runPoint executes one grid point: bounded retries, panic recovery,
-// breaker observation, checkpoint on success.
-func (m *Manager) runPoint(j *job, idx int, jwg *sync.WaitGroup) {
-	defer jwg.Done()
-	defer func() { <-m.sem }()
-	payload, label, err := m.attemptPoint(j, idx)
-	if err == nil {
-		m.persistCheckpoint(j, idx, payload)
-		m.publish(j, m.settlePoint(j, idx, PointComputed, label, nil))
-		return
+// acquire takes a worker slot for one point of j. An open breaker
+// pauses dispatch first (in-flight points drain): when the backend is
+// sick, the batch tier stops feeding it. It returns false, holding no
+// slot, when the campaign is cancelled or the manager stops first.
+func (m *Manager) acquire(j *job) bool {
+	for br := m.cfg.Breaker; br != nil && br.Open(); {
+		select {
+		case <-m.stopCh:
+			return false
+		case <-j.cancelCh:
+			return false
+		case <-time.After(m.breakerPoll):
+		}
 	}
-	m.publish(j, m.settlePoint(j, idx, PointFailed, label, err))
+	select {
+	case <-m.stopCh:
+		return false
+	case <-j.cancelCh:
+		return false
+	case m.sem <- struct{}{}:
+		return true
+	}
+}
+
+// batchOutcome is one proposed point's evaluation inside a batch.
+type batchOutcome struct {
+	idx      int
+	label    string
+	payload  []byte
+	err      error
+	restored bool // satisfied from a checkpoint, not recomputed
+}
+
+// runBatch evaluates one proposed batch on the worker pool, with a
+// checkpoint per computed point. Restored points take no worker slot.
+// A grid settles and publishes each point as it finishes and drops its
+// payload then; it returns no outcomes. A search returns one outcome
+// per batch member for observeBatch, nil for members an abort left
+// undispatched. Its restored payloads are re-read here: one that cannot
+// be re-read is computed again, not fed back as a failed point. aborted
+// reports that cancellation or shutdown stopped dispatch; in-flight
+// points still drain.
+func (m *Manager) runBatch(j *job, indices []int) (outcomes []*batchOutcome, aborted bool) {
+	search := j.plan.Spec.Search != nil
+	if search {
+		outcomes = make([]*batchOutcome, len(indices))
+	}
+	var wg sync.WaitGroup
+	for bi, idx := range indices {
+		j.mu.Lock()
+		restored := j.points[idx] == PointRestored
+		j.mu.Unlock()
+		if restored {
+			if !search {
+				continue // counted by the restore scan; nothing to observe
+			}
+			if payload, ok := m.cfg.Store.Get(store.Campaigns, pointKey(j.plan.ID, idx)); ok {
+				outcomes[bi] = &batchOutcome{idx: idx, label: j.plan.PointLabel(idx), payload: payload, restored: true}
+				continue
+			}
+			j.mu.Lock()
+			j.points[idx] = PointPending
+			j.restored--
+			j.mu.Unlock()
+		}
+		if !m.acquire(j) {
+			aborted = true
+			break
+		}
+		j.mu.Lock()
+		j.points[idx] = PointRunning
+		j.running++
+		j.mu.Unlock()
+		out := &batchOutcome{idx: idx}
+		if search {
+			outcomes[bi] = out
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-m.sem }()
+			out.payload, out.label, out.err = m.attemptPoint(j, idx)
+			if out.err == nil {
+				m.persistCheckpoint(j, idx, out.payload)
+			}
+			if !search {
+				m.publish(j, m.settlePoint(j, idx, out.label, out.err))
+			}
+		}()
+	}
+	wg.Wait()
+	return outcomes, aborted
+}
+
+// searchEventFrontierCap bounds the frontier snapshot embedded in each
+// NDJSON event line; the status endpoint and final manifest always carry
+// the full frontier.
+const searchEventFrontierCap = 32
+
+// observeBatch feeds a search batch back in proposal order — goroutine
+// completion order must not leak into the policy's replay state — then
+// settles the computed points and publishes their events, enriched with
+// the post-batch best-so-far point and frontier. Restored points were
+// counted by the restore scan and publish no event.
+func (m *Manager) observeBatch(j *job, sr Searcher, outcomes []*batchOutcome) {
+	var events []Event
+	for _, out := range outcomes {
+		if out == nil {
+			continue // abort hit before this batch member dispatched
+		}
+		obs := Observation{Index: out.idx, Cost: j.plan.Cost(out.idx)}
+		if out.err == nil && out.payload != nil {
+			if meas, merr := m.cfg.Measure(out.payload); merr == nil {
+				obs.OK = true
+				obs.Objective = objectiveValue(j.plan.Spec.Search.Objective, meas)
+			}
+		}
+		sr.Observe(obs)
+		if !out.restored {
+			events = append(events, m.settlePoint(j, out.idx, out.label, out.err))
+		}
+	}
+	snap := sr.Snapshot()
+	j.mu.Lock()
+	j.search = &snap
+	j.mu.Unlock()
+	for i := range events {
+		events[i].BestSoFar = snap.Best
+		events[i].Frontier = snap.Frontier[:min(len(snap.Frontier), searchEventFrontierCap)]
+		m.publish(j, events[i])
+	}
 }
 
 // attemptPoint is one point's retry loop — materialize the spec, run it
 // with panic recovery and breaker observation, retry failures with
-// jittered backoff. It does not touch job state; grid and search
-// dispatchers share it and settle the outcome themselves.
+// jittered backoff. It does not touch job state; runBatch settles the
+// outcome.
 func (m *Manager) attemptPoint(j *job, idx int) (payload []byte, label string, err error) {
 	spec, label, err := j.plan.Point(idx)
 	if err != nil { // unreachable: every point validated at Compile
@@ -675,167 +790,6 @@ func (m *Manager) attemptPoint(j *job, idx int) (payload []byte, label string, e
 		}
 	}
 	return nil, label, lastErr
-}
-
-// searchEventFrontierCap bounds the frontier snapshot embedded in each
-// NDJSON event line; the status endpoint and final manifest always carry
-// the full frontier.
-const searchEventFrontierCap = 32
-
-// searchOutcome is one proposed point's evaluation inside a batch.
-type searchOutcome struct {
-	idx      int
-	label    string
-	payload  []byte
-	err      error
-	restored bool // satisfied from a checkpoint, not recomputed
-}
-
-// executeSearch is the dispatcher for search campaigns: instead of
-// walking the grid it asks the policy for point batches, evaluates each
-// batch through the same machinery as grid points (worker pool, retries,
-// panic isolation, breaker pause, per-point checkpoints), feeds the
-// measurements back, and publishes point events enriched with the
-// best-so-far point and frontier. A proposed point whose checkpoint
-// survived a previous incarnation is fed back from disk — no recompute,
-// no worker slot — which is exactly how resume skips already-evaluated
-// points while replaying the same deterministic proposal sequence.
-func (m *Manager) executeSearch(j *job) {
-	sr, err := NewSearcher(j.plan)
-	if err != nil { // unreachable: Compile validated the search block
-		j.mu.Lock()
-		j.cancelled = true
-		j.mu.Unlock()
-		m.finalize(j)
-		return
-	}
-	st := m.cfg.Store
-	id := j.plan.ID
-	terminated := ""
-	aborted := false // manager shutdown or cancel interrupted the search
-
-search:
-	for {
-		select {
-		case <-m.stopCh:
-			aborted = true
-			break search
-		case <-j.cancelCh:
-			aborted, terminated = true, "cancelled"
-			break search
-		default:
-		}
-		prop := sr.Next()
-		if prop.Done {
-			terminated = prop.Reason
-			break
-		}
-
-		// Evaluate the batch: restored points come off disk immediately,
-		// pending ones go through the worker pool concurrently.
-		outcomes := make([]*searchOutcome, len(prop.Indices))
-		var jwg sync.WaitGroup
-		for bi, idx := range prop.Indices {
-			j.mu.Lock()
-			state := j.points[idx]
-			j.mu.Unlock()
-			if state == PointRestored {
-				var payload []byte
-				if st != nil {
-					payload, _ = st.Get(store.Campaigns, pointKey(id, idx))
-				}
-				outcomes[bi] = &searchOutcome{idx: idx, label: j.plan.PointLabel(idx), payload: payload, restored: true}
-				continue
-			}
-			// An open breaker pauses dispatch, exactly as in grid mode.
-			for br := m.cfg.Breaker; br != nil && br.Open() && !aborted; {
-				select {
-				case <-m.stopCh:
-					aborted = true
-				case <-j.cancelCh:
-					aborted, terminated = true, "cancelled"
-				case <-time.After(m.breakerPoll):
-				}
-			}
-			if !aborted {
-				select {
-				case <-m.stopCh:
-					aborted = true
-				case <-j.cancelCh:
-					aborted, terminated = true, "cancelled"
-				case m.sem <- struct{}{}:
-				}
-			}
-			if aborted {
-				break // drain what is in flight; do not dispatch the rest
-			}
-			j.mu.Lock()
-			j.points[idx] = PointRunning
-			j.running++
-			j.mu.Unlock()
-			out := &searchOutcome{idx: idx}
-			outcomes[bi] = out
-			jwg.Add(1)
-			go func() {
-				defer jwg.Done()
-				defer func() { <-m.sem }()
-				out.payload, out.label, out.err = m.attemptPoint(j, out.idx)
-				if out.err == nil {
-					m.persistCheckpoint(j, out.idx, out.payload)
-				}
-			}()
-		}
-		jwg.Wait()
-
-		// Feed observations back in batch (proposal) order — goroutine
-		// completion order must not leak into the policy's replay state —
-		// then settle counters and publish the enriched point events.
-		var events []Event
-		for _, out := range outcomes {
-			if out == nil {
-				continue // abort hit before this batch member dispatched
-			}
-			obs := Observation{Index: out.idx, Cost: j.plan.Cost(out.idx)}
-			if out.err == nil && out.payload != nil {
-				if meas, merr := m.cfg.Measure(out.payload); merr == nil {
-					obs.OK = true
-					obs.Objective = objectiveValue(j.plan.Spec.Search.Objective, meas)
-				}
-			}
-			sr.Observe(obs)
-			if out.restored {
-				continue // already counted by the restore scan; no event
-			}
-			if out.err == nil {
-				events = append(events, m.settlePoint(j, out.idx, PointComputed, out.label, nil))
-			} else {
-				events = append(events, m.settlePoint(j, out.idx, PointFailed, out.label, out.err))
-			}
-		}
-		snap := sr.Snapshot()
-		j.mu.Lock()
-		j.search = &snap
-		j.mu.Unlock()
-		for i := range events {
-			events[i].BestSoFar = snap.Best
-			if len(snap.Frontier) > searchEventFrontierCap {
-				events[i].Frontier = snap.Frontier[:searchEventFrontierCap]
-			} else {
-				events[i].Frontier = snap.Frontier
-			}
-			m.publish(j, events[i])
-		}
-		if aborted {
-			break
-		}
-	}
-
-	snap := sr.Snapshot()
-	snap.Terminated = terminated
-	j.mu.Lock()
-	j.search = &snap
-	j.mu.Unlock()
-	m.finalize(j)
 }
 
 // Checkpoint-write retry tuning: a handful of quick, jittered attempts
@@ -899,24 +853,26 @@ func (m *Manager) safeRun(spec scenario.Spec) (payload []byte, err error) {
 	return m.cfg.Run(m.baseCtx, spec)
 }
 
-// settlePoint moves one dispatched point to a terminal state and returns
-// the point event describing it — unpublished, so the search dispatcher
-// can enrich it with best-so-far/frontier snapshots before it goes out.
-func (m *Manager) settlePoint(j *job, idx int, st PointState, label string, err error) Event {
+// settlePoint moves one dispatched point to a terminal state — computed
+// when err is nil, failed otherwise — and returns the point event
+// describing it, unpublished, so a search can enrich it with
+// best-so-far/frontier snapshots before it goes out.
+func (m *Manager) settlePoint(j *job, idx int, label string, err error) Event {
+	st := PointComputed
+	if err != nil {
+		st = PointFailed
+	}
 	ev := Event{Type: EventPoint, Index: idx, Point: label, State: string(st)}
 	j.mu.Lock()
 	j.points[idx] = st
 	j.running--
-	switch st {
-	case PointComputed:
+	if err == nil {
 		j.computed++
-	case PointFailed:
+	} else {
 		j.failed++
-		if err != nil {
-			ev.Error = err.Error()
-			if len(j.failures) < maxFailures {
-				j.failures = append(j.failures, PointFailure{Index: idx, Point: label, Error: err.Error()})
-			}
+		ev.Error = err.Error()
+		if len(j.failures) < maxFailures {
+			j.failures = append(j.failures, PointFailure{Index: idx, Point: label, Error: err.Error()})
 		}
 	}
 	j.mu.Unlock()
@@ -945,9 +901,9 @@ func (m *Manager) finalize(j *job) {
 		// evaluations the search avoided; leave them pending. The campaign
 		// is only resumable when the manager stopped before the policy
 		// terminated.
-		stopped = j.search != nil && j.search.Terminated == "" && !cancelled && m.isStopped()
+		stopped = j.search != nil && j.search.Terminated == "" && !cancelled && isClosed(m.stopCh)
 	} else {
-		stopped = pending > 0 && !cancelled && m.isStopped()
+		stopped = pending > 0 && !cancelled && isClosed(m.stopCh)
 	}
 	if !stopped {
 		if pending > 0 && j.plan.Spec.Search == nil {
@@ -1010,9 +966,10 @@ func (j *job) closeSubs() {
 	j.subs = nil
 }
 
-func (m *Manager) isStopped() bool {
+// isClosed reports whether a signal channel (stop, cancel) has fired.
+func isClosed(ch chan struct{}) bool {
 	select {
-	case <-m.stopCh:
+	case <-ch:
 		return true
 	default:
 		return false

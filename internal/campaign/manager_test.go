@@ -541,3 +541,102 @@ func TestDurabilityFullAndNone(t *testing.T) {
 		t.Errorf("durability without a store = %q, want %q", final.Durability, DurabilityNone)
 	}
 }
+
+func TestGridEventsStreamAsPointsSettle(t *testing.T) {
+	subscribed := make(chan struct{})
+	firstSeen := make(chan struct{})
+	run := newCountingRun()
+	run.behave = func(label string, attempt int) ([]byte, error) {
+		switch label {
+		case "layers=1":
+			<-subscribed // hold the first point until the stream is attached
+		case "layers=2":
+			// An executor that publishes at batch end never lets this
+			// point see the first point's event.
+			select {
+			case <-firstSeen:
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("first point's event not published before the second point ran")
+			}
+		}
+		return []byte("ok"), nil
+	}
+	m := NewManager(Config{Run: run.run, Workers: 1})
+	defer m.Shutdown(context.Background())
+
+	status, _, err := m.Start(gridSpec(3))
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	ch, detach, err := m.Subscribe(status.ID)
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	defer detach()
+	close(subscribed)
+	var order []int
+	for ev := range ch {
+		if ev.Type != EventPoint {
+			continue
+		}
+		if ev.BestSoFar != nil || ev.Frontier != nil {
+			t.Fatalf("grid point event carries search fields: %+v", ev)
+		}
+		if len(order) == 0 && ev.Index == 0 {
+			close(firstSeen)
+		}
+		order = append(order, ev.Index)
+	}
+	final := waitTerminal(t, m, status.ID)
+	if final.Computed != 3 || final.Failed != 0 || final.Search != nil {
+		t.Fatalf("final = %+v (failures %+v)", final, final.Failures)
+	}
+	if fmt.Sprint(order) != "[0 1 2]" {
+		t.Fatalf("point events in order %v, want [0 1 2]", order)
+	}
+}
+
+func TestCancelDuringBreakerPause(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   Spec
+		search bool
+	}{
+		{"grid", gridSpec(4), false},
+		{"search", cacheEngineSpec(&SearchSpec{Mode: "target", Target: 3}), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The breaker's clock never advances: it stays open for the
+			// whole test, so the dispatcher can only leave the pause by
+			// noticing the cancel.
+			br := resilience.New(1, time.Hour, resilience.WithClock(func() time.Time { return time.Unix(0, 0) }))
+			br.Trip()
+			run := newCountingRun()
+			run.behave = synthBehave(monotoneObjective)
+			m := NewManager(Config{Run: run.run, Measure: synthMeasure, Workers: 1, Breaker: br, BreakerPoll: time.Millisecond})
+			defer m.Shutdown(context.Background())
+			status, _, err := m.Start(tc.spec)
+			if err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if _, err := m.Cancel(status.ID); err != nil {
+				t.Fatalf("Cancel: %v", err)
+			}
+			final := waitTerminal(t, m, status.ID)
+			if final.State != StateCancelled || run.total() != 0 || final.Computed != 0 {
+				t.Fatalf("final = %+v, run calls = %d", final, run.total())
+			}
+			if !tc.search {
+				if final.Skipped != final.Total || final.Search != nil {
+					t.Fatalf("grid: skipped = %d of %d, search = %+v", final.Skipped, final.Total, final.Search)
+				}
+				return
+			}
+			if final.Skipped != 0 || final.Search == nil || final.Search.Terminated != "cancelled" {
+				t.Fatalf("search: skipped = %d, search = %+v", final.Skipped, final.Search)
+			}
+		})
+	}
+}

@@ -152,16 +152,18 @@ type Observation struct {
 	OK bool
 }
 
-// Searcher is the policy behind a search campaign: it proposes points
-// instead of consuming a pre-enumerated grid. Implementations must be
+// Searcher is the policy behind a campaign: it proposes the points the
+// executor runs, batch by batch. A grid campaign's enumerate policy
+// proposes the whole domain at once; a search policy proposes points one
+// batch at a time from what it has observed. Implementations must be
 // deterministic — the proposal sequence must be a pure function of the
 // compiled spec and the observations fed back — because resume replays
 // the sequence against checkpointed results. Searchers are not safe for
 // concurrent use; the executor serializes Next/Observe.
 type Searcher interface {
 	// Next proposes the next batch of points, or terminates the search.
-	// The executor observes every proposed point before calling Next
-	// again.
+	// On a search campaign the executor observes every proposed point
+	// before calling Next again.
 	Next() Proposal
 	// Observe records one evaluated point. Observing the same index twice
 	// is a no-op.
@@ -279,12 +281,13 @@ func normalizeSearch(s *SearchSpec, axes []Axis, baseSystems, total int) (*Searc
 	return &n, nil
 }
 
-// NewSearcher builds the policy for a compiled search campaign. Plans
-// without a search block are grid campaigns and have no searcher.
+// NewSearcher builds the policy for a compiled campaign: the enumerate
+// policy for a plan without a search block (a grid), otherwise the
+// search block's mode.
 func NewSearcher(p *Plan) (Searcher, error) {
 	s := p.Spec.Search
 	if s == nil {
-		return nil, fmt.Errorf("%w: plan has no search block", ErrInvalidSpec)
+		return &enumerateSearcher{total: p.Total}, nil
 	}
 	base := searchBase{p: p, obs: make(map[int]Observation)}
 	switch s.Mode {
@@ -297,6 +300,30 @@ func NewSearcher(p *Plan) (Searcher, error) {
 	}
 	return nil, fmt.Errorf("%w: unknown search mode %q", ErrInvalidSpec, s.Mode)
 }
+
+// enumerateSearcher is a grid campaign's policy: it proposes every point
+// in one batch, then stops. A grid has no search standing, so it
+// observes and reports nothing.
+type enumerateSearcher struct {
+	total    int
+	proposed bool
+}
+
+func (e *enumerateSearcher) Next() Proposal {
+	if e.proposed {
+		return Proposal{Done: true}
+	}
+	e.proposed = true
+	indices := make([]int, e.total)
+	for i := range indices {
+		indices[i] = i
+	}
+	return Proposal{Indices: indices}
+}
+
+func (*enumerateSearcher) Observe(Observation) {}
+
+func (*enumerateSearcher) Snapshot() SearchStatus { return SearchStatus{} }
 
 // objectiveValue picks the objective scalar out of a measurement.
 func objectiveValue(objective string, m Measurement) float64 {

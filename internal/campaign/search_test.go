@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tensortee/internal/faultinject"
 	"tensortee/internal/scenario"
 	"tensortee/internal/store"
 )
@@ -521,5 +522,59 @@ func TestSearchRequiresMeasureHook(t *testing.T) {
 	_, _, err := m.Start(cacheEngineSpec(&SearchSpec{Mode: "target", Target: 2}))
 	if err == nil {
 		t.Fatal("manager without Measure accepted a search campaign")
+	}
+}
+
+func TestSearchRecomputesUnreadableRestoredPoint(t *testing.T) {
+	dir := t.TempDir()
+	spec := cacheEngineSpec(&SearchSpec{Mode: "target", Target: 3})
+	const best = "meta_cache_kb=128,npu_aes_engines=8"
+
+	run1 := newCountingRun()
+	run1.behave = synthBehave(monotoneObjective)
+	m1 := NewManager(Config{Run: run1.run, Measure: synthMeasure, Store: openStore(t, dir), Workers: 1})
+	status, _, err := m1.Start(spec)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	first := waitTerminal(t, m1, status.ID)
+	if err := m1.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if first.Computed != 7 || first.Search == nil || first.Search.Best == nil || first.Search.Best.Point != best {
+		t.Fatalf("first run = %+v", first)
+	}
+
+	// Rerun the same spec over the same checkpoints. The restore scan
+	// reads all 64 points; read 65 is the re-read of the search's first
+	// proposal, the maximum corner, and it fails.
+	inj, err := faultinject.Parse("read:fail@65")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run2 := newCountingRun()
+	run2.behave = synthBehave(monotoneObjective)
+	m2 := NewManager(Config{Run: run2.run, Measure: synthMeasure, Store: st, Workers: 1})
+	defer m2.Shutdown(context.Background())
+	if _, _, err := m2.Start(spec); err != nil {
+		t.Fatalf("Start over faulted store: %v", err)
+	}
+	final := waitTerminal(t, m2, status.ID)
+	if final.State != StateDone || final.Failed != 0 {
+		t.Fatalf("final = %+v", final)
+	}
+	// The unreadable checkpoint is recomputed, not observed as a failed
+	// point: the answer is the same as the first run's.
+	if final.Restored != 6 || final.Computed != 1 || run2.count("meta_cache_kb=1024,npu_aes_engines=8") != 1 {
+		t.Fatalf("restored=%d computed=%d, max corner ran %d times; want 6, 1, 1",
+			final.Restored, final.Computed, run2.count("meta_cache_kb=1024,npu_aes_engines=8"))
+	}
+	if final.Search == nil || !strings.Contains(final.Search.Terminated, "target 3 met") ||
+		final.Search.Best == nil || final.Search.Best.Point != best {
+		t.Fatalf("search = %+v", final.Search)
 	}
 }
