@@ -377,40 +377,6 @@ func (c *Cache) AccessHitN(addr uint64, n int, write bool) bool {
 	return false
 }
 
-// HitPrefix consumes the longest all-resident prefix of a span of lines
-// (addr, addr+stride, ...): each consumed line is exactly one Access hit
-// (clock, recency, dirty, hit counter), and the scan stops — leaving all
-// state untouched for the remainder — at the first non-resident line. It
-// returns the number of lines consumed. One pass per set, no victim
-// work: this is the span-probe the core loop uses to retire L1-resident
-// bursts without per-line Access calls.
-func (c *Cache) HitPrefix(addr uint64, lines int, stride uint64, write bool) int {
-	consumed := 0
-	for ; consumed < lines; consumed++ {
-		set, tag := c.index(addr)
-		tags, lru := c.setViews(set)
-		hit := false
-		for i := range tags {
-			if tags[i] == tag+1 {
-				c.clock++
-				stamp := c.clock | lru[i]&dirtyBit
-				if write {
-					stamp |= dirtyBit
-				}
-				lru[i] = stamp
-				c.hits++
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			break
-		}
-		addr += stride
-	}
-	return consumed
-}
-
 // Invalidate drops addr's line if resident, returning a dirty victim if any.
 func (c *Cache) Invalidate(addr uint64) Result {
 	set, tag := c.index(addr)

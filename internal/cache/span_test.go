@@ -117,36 +117,6 @@ func TestAccessHitNMatchesRepeatedAccess(t *testing.T) {
 	}
 }
 
-// TestHitPrefixMatchesPerLine replays randomized spans through twin
-// caches: the fast twin consumes the resident prefix with HitPrefix and
-// then falls back to Access; the oracle steps per line. Full state parity
-// (stats, LRU array, dirty bits, tags) is required after every span.
-func TestHitPrefixMatchesPerLine(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	fast := New("f", 8192, 8, 64)
-	oracle := New("o", 8192, 8, 64)
-
-	for i := 0; i < 4000; i++ {
-		addr := uint64(rng.Intn(1<<9)) * 64
-		n := 1 + rng.Intn(12)
-		write := rng.Intn(2) == 0
-
-		hp := fast.HitPrefix(addr, n, 64, write)
-		for j := hp; j < n; j++ {
-			fast.Access(addr+uint64(j)*64, write)
-		}
-		for j := 0; j < n; j++ {
-			oracle.Access(addr+uint64(j)*64, write)
-		}
-		if fast.Stats() != oracle.Stats() {
-			t.Fatalf("span %d: stats diverge: %+v vs %+v", i, fast.Stats(), oracle.Stats())
-		}
-	}
-	if !reflect.DeepEqual(fast.slab, oracle.slab) || fast.clock != oracle.clock {
-		t.Fatal("final cache state diverges")
-	}
-}
-
 // TestWideWaysReference drives a 16-way single-set cache against an
 // in-test reference LRU model (mirroring
 // TestMatchesReferenceModelProperty's semantics at higher
@@ -193,19 +163,5 @@ func TestWideWaysReference(t *testing.T) {
 			t.Fatalf("access %d: spurious writeback", i)
 		}
 		order = append(order, line{addr: addr, dirty: write})
-	}
-}
-
-// TestHitPrefixStopsAtFirstMiss pins that the miss line itself is left
-// untouched for the caller's Access (its fill must still happen).
-func TestHitPrefixStopsAtFirstMiss(t *testing.T) {
-	c := New("c", 8192, 8, 64)
-	c.Access(0, false)
-	c.Access(64, false)
-	if got := c.HitPrefix(0, 4, 64, false); got != 2 {
-		t.Fatalf("HitPrefix = %d, want 2", got)
-	}
-	if c.Probe(128) {
-		t.Fatal("the miss line must not be filled by HitPrefix")
 	}
 }

@@ -178,7 +178,6 @@ type coreState struct {
 	runs        trace.RunStream // non-nil when stream coalesces spans
 	run         trace.Run       // current span
 	runPos      int             // lines of run already issued
-	noSpan      bool            // current run's frontier missed L1: stay per-line until the next run
 	nextReady   sim.Time
 	outstanding completionHeap
 	lastDone    sim.Time
@@ -194,7 +193,7 @@ func (c *coreState) nextAccess() (trace.Access, bool) {
 			if !ok {
 				return trace.Access{}, false
 			}
-			c.run, c.runPos, c.noSpan = r, 0, false
+			c.run, c.runPos = r, 0
 		}
 		a := trace.Access{
 			Addr:    c.run.Addr + uint64(c.runPos)*c.run.Stride,
@@ -241,50 +240,6 @@ func (s *Sim) Run(streams []trace.Stream) Result {
 			if cores[i].nextReady < c.nextReady {
 				c = &cores[i]
 			}
-		}
-
-		// Span fast path (single active core): retire the L1-resident
-		// prefix of the current run in one batch. Each batched access is
-		// provably the exact per-line step: with one active core the
-		// earliest-ready election is trivially won, the miss window is
-		// below the MLP bound (so no completion pops can delay issue),
-		// and every consumed line is an L1 hit (no fills, victims, or
-		// MEE traffic) — issue times form an arithmetic series and
-		// timing and stats collapse to closed form. With several active
-		// cores the election interleaves per access (measured batch
-		// length collapses to one line), so the per-line path runs
-		// without any probing overhead.
-		if active == 1 && c.runs != nil && !c.noSpan &&
-			c.outstanding.n < mlp {
-			for c.runPos >= c.run.Lines {
-				r, ok := c.runs.NextRun()
-				if !ok {
-					c.done = true
-					c.nextReady = ^sim.Time(0) // park: never wins the election
-					break
-				}
-				c.run, c.runPos, c.noSpan = r, 0, false
-			}
-			if c.done {
-				active--
-				continue
-			}
-			m := c.run.Lines - c.runPos
-			addr := c.run.Addr + uint64(c.runPos)*c.run.Stride
-			if hp := s.l1[c.id].HitPrefix(addr, m, c.run.Stride, c.run.Write); hp > 0 {
-				step := c.run.Compute + s.issueGap
-				atLast := c.nextReady + c.run.Compute + sim.Dur(hp-1)*step
-				if done := atLast + s.l1Lat; done > c.lastDone {
-					c.lastDone = done
-				}
-				c.nextReady = atLast + s.issueGap
-				c.runPos += hp
-				accesses += uint64(hp)
-				continue
-			}
-			// The run's frontier is not L1-resident: one probe per run is
-			// the whole overhead — stay per-line until the next run.
-			c.noSpan = true
 		}
 
 		// Mid-run expansion inlined: nextAccess's loop keeps it from
@@ -459,49 +414,17 @@ func (s *Sim) DropCaches() {
 // off-chip VN array.
 func (s *Sim) Flush() {
 	at := s.now
-	dirty := make([]uint64, 0, 1024)
-	for i := range s.l1 {
-		dirty = append(dirty, s.l1[i].DrainDirty()...)
-		dirty = append(dirty, s.l2[i].DrainDirty()...)
-	}
-	dirty = append(dirty, s.l3.DrainDirty()...)
-
-	// Drain in coalesced spans: each cache returns its dirty lines in
-	// ascending address order, so streaming workloads yield long
-	// consecutive runs. Only adjacent lines within the existing order
-	// merge — the write sequence the MEE and DRAM see is unchanged, the
-	// span methods just amortize the per-line metadata math over it.
-	lineBytes := uint64(s.cfg.CPU.LineBytes)
-	for i := 0; i < len(dirty); {
-		n := 1
-		for i+n < len(dirty) && dirty[i+n] == dirty[i]+uint64(n)*lineBytes {
-			n++
+	drain := func(c *cache.Cache) {
+		for _, addr := range c.DrainDirty() {
+			s.writeThroughMEE(at, addr)
 		}
-		s.writeRunThroughMEE(at, dirty[i], n)
-		i += n
 	}
+	for i := range s.l1 {
+		drain(s.l1[i])
+		drain(s.l2[i])
+	}
+	drain(s.l3)
 	if bu := s.mem.BusyUntil(); bu > s.now {
 		s.now = bu
-	}
-}
-
-// writeRunThroughMEE charges a span of n consecutive dirty-line writes
-// issued together at time at. In tensor mode the TenAnalyzer classifies
-// the span prefix by prefix (falling back to single lines at epoch
-// completions, assert violations, and entry seams); each uniform prefix
-// is then charged in one engine call. The analyzer and the engine are
-// independent state machines, so classifying a prefix before charging it
-// is indistinguishable from interleaving the two per line.
-func (s *Sim) writeRunThroughMEE(at sim.Time, addr uint64, n int) {
-	if s.analyzer == nil {
-		s.engine.WriteRun(at, addr, n)
-		return
-	}
-	lineBytes := uint64(s.cfg.CPU.LineBytes)
-	for n > 0 {
-		outcome, k := s.analyzer.WriteRun(addr, n)
-		s.engine.TensorWriteRun(at, addr, k, toMEEOutcome(outcome))
-		addr += uint64(k) * lineBytes
-		n -= k
 	}
 }

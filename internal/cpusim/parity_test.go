@@ -30,7 +30,8 @@ func runBoth(t *testing.T, mode mee.Mode, lines int, mkStreams func() []trace.St
 			t.Fatalf("iteration %d: fast path diverges from line oracle\nfast:   %+v\noracle: %+v", it, rFast, rOracle)
 		}
 	}
-	// Drain both and compare the flush path too (span-batched vs per line).
+	// Drain both through the same Flush: the dirty lines the span-fed and
+	// line-fed runs left behind must charge identically too.
 	fast.Flush()
 	oracle.Flush()
 	if fast.analyzer != nil {

@@ -446,22 +446,6 @@ func (m *Memory) accessGroup(at sim.Time, addr uint64, write bool) (sim.Time, bo
 	return end, true
 }
 
-// AccessBytes services a contiguous region as a sequence of line accesses
-// starting at time at, returning the completion of the last line. It is a
-// convenience for bulk transfers (tensor DMA).
-func (m *Memory) AccessBytes(at sim.Time, addr uint64, n int, write bool) sim.Time {
-	if n <= 0 {
-		return at
-	}
-	base := addr &^ uint64(m.T.BurstBytes-1)
-	count := int((addr + uint64(n) - base + uint64(m.T.BurstBytes) - 1) / uint64(m.T.BurstBytes))
-	end := m.AccessRun(at, base, count, uint64(m.T.BurstBytes), write)
-	if end < at {
-		end = at
-	}
-	return end
-}
-
 // Stats aggregates device counters.
 type Stats struct {
 	Reads, Writes                uint64

@@ -139,21 +139,6 @@ func TestRandomAccessCostsMoreThanStreaming(t *testing.T) {
 	}
 }
 
-func TestAccessBytesSpansLines(t *testing.T) {
-	m := New(DDR4_2400(), 2)
-	end := m.AccessBytes(0, 30, 100, false) // unaligned, crosses two lines
-	s := m.Stats()
-	if s.Reads != 3 {
-		t.Errorf("Reads = %d, want 3 lines for [30,130)", s.Reads)
-	}
-	if end == 0 {
-		t.Error("no time charged")
-	}
-	if m.AccessBytes(0, 0, 0, false) != 0 {
-		t.Error("zero-length access should be free")
-	}
-}
-
 func TestWriteCounted(t *testing.T) {
 	m := New(DDR4_2400(), 1)
 	m.Access(0, 0, true)

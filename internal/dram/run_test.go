@@ -134,33 +134,6 @@ func TestDRAMRunRefreshCrossing(t *testing.T) {
 	}
 }
 
-// TestAccessBytesMatchesRun pins AccessBytes' line decomposition on top
-// of AccessRun against the historical per-line loop.
-func TestAccessBytesMatchesRun(t *testing.T) {
-	fast := New(DDR4_2400(), 2)
-	oracle := New(DDR4_2400(), 2)
-	for _, tc := range []struct {
-		addr uint64
-		n    int
-	}{{30, 100}, {0, 64}, {64, 1}, {1000, 1 << 16}, {7, 0}} {
-		gf := fast.AccessBytes(0, tc.addr, tc.n, false)
-		var go_ sim.Time = 0
-		base := tc.addr &^ 63
-		for off := uint64(0); tc.n > 0 && base+off < tc.addr+uint64(tc.n); off += 64 {
-			if done := oracle.Access(0, base+off, false); done > go_ {
-				go_ = done
-			}
-		}
-		if tc.n <= 0 {
-			go_ = 0
-		}
-		if gf != go_ {
-			t.Fatalf("AccessBytes(%d, %d) = %d, oracle %d", tc.addr, tc.n, gf, go_)
-		}
-		compareMemories(t, fast, oracle, "bytes")
-	}
-}
-
 // FuzzDRAMSpanParity fuzzes randomized span soups through AccessRun and
 // the per-line oracle on twin devices. Any state or timing divergence is
 // a crash.

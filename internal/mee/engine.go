@@ -226,10 +226,10 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) MetaCacheStats() cache.Stats { return e.metaCache.Stats() }
 
 // metaAccess runs one metadata line through the metadata cache; on miss it
-// fetches from DRAM. Returns the time the line is available and whether it
-// missed. Dirty victims are written back to DRAM (traffic, off the critical
-// path).
-func (e *Engine) metaAccess(at sim.Time, lineAddr uint64, write bool, kind *uint64, kindW *uint64) (ready sim.Time, missed bool) {
+// fetches from DRAM and counts the fetch in *kind. Returns the time the
+// line is available and whether it missed. Dirty victims are written back
+// to DRAM (traffic, off the critical path) and counted by noteWriteback.
+func (e *Engine) metaAccess(at sim.Time, lineAddr uint64, write bool, kind *uint64) (ready sim.Time, missed bool) {
 	// Memo fast path: a still-valid handle proves residency and takes the
 	// exact Access hit path without a scan. Metadata lines are never at
 	// address 0 (the map starts at 1<<44), so empty slots cannot match.
@@ -250,12 +250,7 @@ func (e *Engine) metaAccess(at sim.Time, lineAddr uint64, write bool, kind *uint
 		return at + e.metaLat, false
 	}
 	e.stats.MetaCacheMisses++
-	if kind != nil {
-		*kind++
-	}
-	if write && kindW != nil {
-		// a write-allocate fill still reads the line first
-	}
+	*kind++
 	return e.mem.Access(at, lineAddr, false), true
 }
 
@@ -302,14 +297,14 @@ func (e *Engine) readLine(at sim.Time, addr, vnLine, macLine uint64) ReadResult 
 	tData := e.mem.Access(at, addr, false)
 
 	// VN acquisition.
-	tVN, vnMissed := e.metaAccess(at, vnLine, false, &e.stats.VNReads, nil)
+	tVN, vnMissed := e.metaAccess(at, vnLine, false, &e.stats.VNReads)
 	if vnMissed {
 		// Merkle walk: serial levels until a metadata-cache hit; each level
 		// costs a MAC verification.
 		t := tVN
 		for lvl := 0; lvl < e.Layout.TreeDepth(); lvl++ {
 			nodeAddr := e.Layout.TreeNodeAddr(lvl, addr)
-			ready, missed := e.metaAccess(t, nodeAddr, false, &e.stats.TreeReads, nil)
+			ready, missed := e.metaAccess(t, nodeAddr, false, &e.stats.TreeReads)
 			t = ready + e.macLat
 			e.stats.MACOps++
 			if !missed {
@@ -326,7 +321,7 @@ func (e *Engine) readLine(at sim.Time, addr, vnLine, macLine uint64) ReadResult 
 	dataReady := sim.Max(tData, padDone)
 
 	// Data MAC verification: fetch the MAC line, recompute, compare.
-	tMAC, _ := e.metaAccess(at, macLine, false, &e.stats.MACReads, nil)
+	tMAC, _ := e.metaAccess(at, macLine, false, &e.stats.MACReads)
 	verDone := sim.Max(tData, tMAC) + e.macLat
 	e.stats.MACOps++
 
@@ -353,14 +348,14 @@ func (e *Engine) writeLine(at sim.Time, addr, vnLine, macLine uint64) sim.Time {
 	e.stats.DataWrites++
 
 	// VN increment: RMW on the VN line through the metadata cache.
-	tVN, vnMissed := e.metaAccess(at, vnLine, true, &e.stats.VNReads, &e.stats.VNWrites)
+	tVN, vnMissed := e.metaAccess(at, vnLine, true, &e.stats.VNReads)
 	t := tVN
 	if vnMissed {
 		// Verify the fetched VN before trusting it (walk), then update the
 		// tree path; cached levels absorb the update (dirty lines).
 		for lvl := 0; lvl < e.Layout.TreeDepth(); lvl++ {
 			nodeAddr := e.Layout.TreeNodeAddr(lvl, addr)
-			ready, missed := e.metaAccess(t, nodeAddr, true, &e.stats.TreeReads, &e.stats.TreeWrites)
+			ready, missed := e.metaAccess(t, nodeAddr, true, &e.stats.TreeReads)
 			t = ready + e.macLat
 			e.stats.MACOps++
 			if !missed {
@@ -380,7 +375,7 @@ func (e *Engine) writeLine(at sim.Time, addr, vnLine, macLine uint64) sim.Time {
 	tData := e.mem.Access(padDone, addr, true)
 
 	// Recompute and store the data MAC.
-	tMACLine, _ := e.metaAccess(at, macLine, true, &e.stats.MACReads, &e.stats.MACWrites)
+	tMACLine, _ := e.metaAccess(at, macLine, true, &e.stats.MACReads)
 	tMAC := sim.Max(padDone, tMACLine) + e.macLat
 	e.stats.MACOps++
 
@@ -468,8 +463,8 @@ func (e *Engine) TensorWrite(at sim.Time, addr uint64, outcome TensorOutcome) si
 // --- span (run-length) entry points ------------------------------------------
 //
 // The Run methods charge a whole span of n consecutive data lines issued
-// in one burst at time `at` — the shape Flush drains dirty spans in, the
-// bulk-transfer paths use, and the span parity tests replay. The
+// in one burst at time `at` — the shape perfbench's per-layer probes and
+// the span parity tests replay (cpusim drives the engine per line). The
 // metadata-cache and DRAM bank/bus state machines are order-dependent,
 // so their transitions follow exactly the per-line order — but within a
 // slot group that order is known in advance: after the group's first
@@ -624,39 +619,6 @@ func (e *Engine) TensorReadRun(at sim.Time, addr uint64, n int, outcome TensorOu
 		agg.Verified = sim.Max(agg.Verified, r.Verified)
 	})
 	return agg
-}
-
-// TensorWriteRun charges a span of n consecutive writes sharing one
-// TenAnalyzer outcome (from tenanalyzer.WriteRun).
-func (e *Engine) TensorWriteRun(at sim.Time, addr uint64, n int, outcome TensorOutcome) sim.Time {
-	var last sim.Time
-	lb := uint64(e.Layout.LineBytes)
-	switch outcome {
-	case THitIn, THitBoundary:
-		e.stats.DataWrites += uint64(n)
-		if outcome == THitIn {
-			e.stats.HitIn += uint64(n)
-		} else {
-			e.stats.HitBoundary += uint64(n)
-		}
-		// On-chip VN: pad generation and the background bitmap update are
-		// shared span work; only the data-line DRAM transfers replay per
-		// line (see TensorWrite for the per-line rationale).
-		e.stats.AESOps += uint64(n)
-		e.stats.MACOps += uint64(n)
-		if n > 0 {
-			padDone := at + e.aesLat
-			tMAC := padDone + e.macLat
-			last = sim.Max(e.mem.AccessRun(padDone, addr, n, lb, true), tMAC)
-		}
-		return last
-	default:
-		e.stats.Mis += uint64(n)
-	}
-	e.spanGroups(addr, n, func(base uint64, lines int, vnLine, macLine uint64) {
-		last = sim.Max(last, e.writeGroup(at, base, lines, vnLine, macLine))
-	})
-	return last
 }
 
 // ResetStats zeroes counters (cache contents are preserved).

@@ -8,7 +8,8 @@ import (
 )
 
 // TestMetaMemoParity drives identical randomized workloads — per-line
-// reads/writes, tensor outcomes, and span runs — through a memo-enabled
+// reads/writes, tensor outcomes (tensor writes line by line), and span
+// runs — through a memo-enabled
 // engine and a twin whose metadata transition memo is disabled, requiring
 // bit-identical engine stats, metadata-cache counters, DRAM state, and
 // returned times throughout. A memo hit must be exactly the Access hit
@@ -44,7 +45,11 @@ func TestMetaMemoParity(t *testing.T) {
 			case 3:
 				n := 1 + rng.Intn(24)
 				if mode == ModeTensor {
-					tm, tp = memoized.TensorWriteRun(at, addr, n, outcome), plain.TensorWriteRun(at, addr, n, outcome)
+					for i := 0; i < n; i++ {
+						a := addr + uint64(i)*64
+						tm = sim.Max(tm, memoized.TensorWrite(at, a, outcome))
+						tp = sim.Max(tp, plain.TensorWrite(at, a, outcome))
+					}
 				} else {
 					tm, tp = memoized.WriteRun(at, addr, n), plain.WriteRun(at, addr, n)
 				}

@@ -39,12 +39,7 @@ func TestRunMethodsMatchPerLine(t *testing.T) {
 			var runT, lineT sim.Time
 			var runR, lineR ReadResult
 			switch {
-			case mode == ModeTensor && o.write:
-				runT = spanE.TensorWriteRun(at, o.addr, o.n, o.outcome)
-				for i := 0; i < o.n; i++ {
-					lineT = sim.Max(lineT, lineE.TensorWrite(at, o.addr+uint64(i)*64, o.outcome))
-				}
-			case mode == ModeTensor:
+			case mode == ModeTensor && !o.write:
 				runR = spanE.TensorReadRun(at, o.addr, o.n, o.outcome)
 				for i := 0; i < o.n; i++ {
 					r := lineE.TensorRead(at, o.addr+uint64(i)*64, o.outcome)

@@ -177,10 +177,10 @@ type Analyzer struct {
 	// revisit the same runs line after line. Windows are validated
 	// against shapeGen: any entry drop, merge, or table restore bumps it
 	// and invalidates every window at once (extensions grow coverage
-	// without moving canonical indices, so they need no bump). Exactness
-	// rides on the same uniqueness argument as the rings: valid entries
-	// never overlap, so a still-valid window can only name the entry the
-	// search would find, with the index Contains would compute.
+	// without moving canonical indices, so they need no bump). Exactness:
+	// valid entries never overlap (creation, hints, extensions and merges
+	// all reject covered lines), so a still-valid window can only name the
+	// entry the search would find, with the index Contains would compute.
 	winTab    [winTabSlots]entryWindow
 	shapeGen  uint64
 	lineShift int // Pow2Shift(LineBytes); <0 disables the window memo
@@ -197,23 +197,6 @@ type Analyzer struct {
 	// per-core chunks — off the binary search.
 	missTab [winTabSlots]missWindow
 	missGen uint64
-
-	// memoRead/memoWrite/memoMisc memoize the entry ids of recent
-	// successful lookups per dataflow (move-to-front rings, -1 = empty).
-	// Streaming accesses hit the same entry for whole bursts and rotate
-	// across a handful of tensors (w/g/m/v of the current parameter
-	// group), so probing four recent entries before the binary search
-	// absorbs both the bursts and the phase switches; the read and write
-	// streams get separate rings because LLC writebacks trail the read
-	// frontier in different tensors and would otherwise thrash a shared
-	// slot every line.
-	// Exactness: valid entries never overlap (creation, hints, extensions
-	// and merges all reject covered lines), so exact containment has a
-	// unique owner and a memo can only find the same entry the search
-	// would. A stale id is harmless: either the slot is invalid (skipped)
-	// or it holds some other valid entry whose containment check simply
-	// fails (or succeeds, in which case it IS the owner).
-	memoRead, memoWrite, memoMisc lookupMemo
 
 	// Recently created/completed entries: merge candidates (small ring).
 	recent []int
@@ -246,9 +229,6 @@ func New(cfg Config, store VNStore) *Analyzer {
 		entries:    make([]Entry, cfg.Entries),
 		boundaries: newBoundaryMap(),
 		lineShift:  sim.Pow2Shift(cfg.LineBytes),
-		memoRead:   emptyMemo,
-		memoWrite:  emptyMemo,
-		memoMisc:   emptyMemo,
 	}
 	for i := cfg.Entries - 1; i >= 0; i-- {
 		a.free = append(a.free, i)
@@ -348,35 +328,6 @@ func (a *Analyzer) removeID(id int) {
 	a.fixPrefix(p)
 }
 
-// lookup finds the entry containing addr (exact line containment) and its
-// canonical line index.
-// lookupMemo is a tiny move-to-front ring of entry ids (-1 = empty).
-type lookupMemo [4]int
-
-var emptyMemo = lookupMemo{-1, -1, -1, -1}
-
-// note records a hit, moving id to the front.
-func (m *lookupMemo) note(id int) {
-	if m[0] == id {
-		return
-	}
-	if m[1] == id {
-		m[0], m[1] = id, m[0]
-		return
-	}
-	if m[2] == id {
-		m[0], m[1], m[2] = id, m[0], m[1]
-		return
-	}
-	m[0], m[1], m[2], m[3] = id, m[0], m[1], m[2]
-}
-
-// lookup resolves addr through the misc memo — call sites with a
-// dataflow-specific access pattern use lookupHint directly.
-func (a *Analyzer) lookup(addr uint64) (id, lineIdx int, ok bool) {
-	return a.lookupHint(addr, &a.memoMisc)
-}
-
 const winTabSlots = 256
 
 // entryWindow caches one innermost run of one entry: any line-aligned
@@ -426,7 +377,9 @@ func (a *Analyzer) noteWindow(id int, addr uint64, lineIdx int) {
 	}
 }
 
-func (a *Analyzer) lookupHint(addr uint64, memo *lookupMemo) (id, lineIdx int, ok bool) {
+// lookup finds the entry containing addr (exact line containment) and its
+// canonical line index.
+func (a *Analyzer) lookup(addr uint64) (id, lineIdx int, ok bool) {
 	// O(1) fast path: a still-valid run window answers without Contains.
 	if w := &a.winTab[winSlot(addr)]; w.gen == a.shapeGen && addr >= w.lo && addr < w.hi {
 		return w.id, w.idx0 + int((addr-w.lo)>>uint(a.lineShift)), true
@@ -434,19 +387,6 @@ func (a *Analyzer) lookupHint(addr uint64, memo *lookupMemo) (id, lineIdx int, o
 	// O(1) negative answer: addr sits in a still-valid uncovered window.
 	if w := &a.missTab[winSlot(addr)]; w.gen == a.missGen && addr >= w.lo && addr < w.hi {
 		return 0, 0, false
-	}
-	// Entries this dataflow matched recently.
-	for _, h := range memo {
-		if h < 0 {
-			break // rings fill front-first: the rest is empty too
-		}
-		if e := &a.entries[h]; e.valid {
-			if idx, in := e.Contains(addr); in {
-				memo.note(h)
-				a.noteWindow(h, addr, idx)
-				return h, idx, true
-			}
-		}
 	}
 	if a.indexDirty {
 		a.rebuildIndex()
@@ -473,7 +413,6 @@ func (a *Analyzer) lookupHint(addr uint64, memo *lookupMemo) (id, lineIdx int, o
 		}
 		e := &a.entries[a.sorted[i]]
 		if idx, in := e.Contains(addr); in {
-			memo.note(a.sorted[i])
 			a.noteWindow(a.sorted[i], addr, idx)
 			return a.sorted[i], idx, true
 		}
@@ -565,7 +504,7 @@ func (a *Analyzer) Read(addr uint64) (Outcome, uint64) {
 	addr = a.lineAddr(addr)
 	a.clock++
 
-	if id, lineIdx, ok := a.lookupHint(addr, &a.memoRead); ok {
+	if id, lineIdx, ok := a.lookup(addr); ok {
 		e := &a.entries[id]
 		e.lastUse = a.clock
 		a.stats.HitIn++
@@ -656,7 +595,7 @@ func (a *Analyzer) contiguousWithin(e *Entry, lineIdx int, n int) int {
 func (a *Analyzer) ReadRun(addr uint64, n int) (Outcome, int) {
 	addr = a.lineAddr(addr)
 	if n > 1 {
-		if id, lineIdx, ok := a.lookupHint(addr, &a.memoRead); ok {
+		if id, lineIdx, ok := a.lookup(addr); ok {
 			e := &a.entries[id]
 			k := a.contiguousWithin(e, lineIdx, n)
 			a.clock += uint64(k)
@@ -712,65 +651,6 @@ func (a *Analyzer) frontierMissRun(addr uint64, n int) int {
 	return n
 }
 
-// WriteRun classifies a span of n consecutive line writes (the update
-// dataflow of Figure 12, span-granular), returning the outcome shared by
-// the first consumed lines and applying exactly the state mutations of
-// consumed sequential Write calls. Spans collapse when they stay inside
-// one entry's innermost run with every bitmap bit still unflipped and do
-// not complete the epoch, or when every line provably misses; epoch
-// completions, Assert1 violations, and in-range misses fall back to the
-// per-line dataflow one line at a time.
-func (a *Analyzer) WriteRun(addr uint64, n int) (Outcome, int) {
-	addr = a.lineAddr(addr)
-	if n <= 1 {
-		o, _ := a.Write(addr)
-		return o, 1
-	}
-	id, lineIdx, ok := a.lookupHint(addr, &a.memoWrite)
-	if !ok {
-		if k := a.frontierMissRun(addr, n); k == n {
-			a.clock += uint64(n)
-			a.stats.Miss += uint64(n)
-			for i := 0; i < n; i++ {
-				la := addr + uint64(i)*uint64(a.cfg.LineBytes)
-				a.store.Set(la, a.store.Get(la)+1)
-			}
-			return Miss, n
-		}
-		o, _ := a.Write(addr)
-		return o, 1
-	}
-	e := &a.entries[id]
-	k := a.contiguousWithin(e, lineIdx, n)
-	// Stop before an epoch completion or an already-flipped bit (Assert1):
-	// those lines take the per-line dataflow.
-	lines := e.Lines()
-	uniform := 0
-	for uniform < k {
-		if e.bitmap[lineIdx+uniform] != e.BS || e.flipped+uniform+1 == lines {
-			break
-		}
-		uniform++
-	}
-	if uniform == 0 {
-		o, _ := a.Write(addr)
-		return o, 1
-	}
-	a.clock += uint64(uniform)
-	e.lastUse = a.clock
-	a.stats.HitIn += uint64(uniform)
-	if !e.UF {
-		e.UF = true
-	}
-	newVN := e.VN + 1
-	for i := 0; i < uniform; i++ {
-		e.bitmap[lineIdx+i] = !e.BS
-		a.store.Set(addr+uint64(i)*uint64(a.cfg.LineBytes), newVN)
-	}
-	e.flipped += uniform
-	return HitIn, uniform
-}
-
 // runUniform confirms that every line the next extension would add shares
 // the entry's VN and is not owned by another entry.
 func (a *Analyzer) runUniform(e *Entry) bool {
@@ -809,7 +689,7 @@ func (a *Analyzer) Write(addr uint64) (Outcome, uint64) {
 	addr = a.lineAddr(addr)
 	a.clock++
 
-	id, lineIdx, ok := a.lookupHint(addr, &a.memoWrite)
+	id, lineIdx, ok := a.lookup(addr)
 	if !ok {
 		// Miss: only the off-chip VN update (Figure 12 right).
 		a.stats.Miss++

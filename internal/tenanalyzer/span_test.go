@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// replayRuns pushes a run list through an analyzer using the span
-// classifiers (re-entering after each consumed prefix), while a twin
-// analyzer replays the identical per-line sequence; both must end in
-// identical observable state.
+// replayRuns pushes a run list through an analyzer using the read span
+// classifier (re-entering after each consumed prefix; writes go line by
+// line), while a twin analyzer replays the identical per-line sequence;
+// both must end in identical observable state.
 func replayRuns(t *testing.T, runs []run, storeLines int) {
 	t.Helper()
 	span := New(DefaultConfig(), NewArrayVNStore(0, storeLines*64, 64))
@@ -23,13 +23,14 @@ func replayRuns(t *testing.T, runs []run, storeLines int) {
 				line.Read(a)
 			}
 		}
-		for left, addr := r.n, r.addr; left > 0; {
-			var k int
-			if r.write {
-				_, k = span.WriteRun(addr, left)
-			} else {
-				_, k = span.ReadRun(addr, left)
+		if r.write {
+			for _, a := range r.lines() {
+				span.Write(a)
 			}
+			continue
+		}
+		for left, addr := r.n, r.addr; left > 0; {
+			_, k := span.ReadRun(addr, left)
 			if k < 1 || k > left {
 				t.Fatalf("span classifier consumed %d of %d", k, left)
 			}
