@@ -265,12 +265,6 @@ func (c *Config) Validate() error {
 // Secure reports whether memory protection is active at all.
 func (c *Config) Secure() bool { return c.System != NonSecure }
 
-// CPUCyclesPerSecond returns the CPU clock rate.
-func (c *Config) CPUCyclesPerSecond() float64 { return c.CPU.FreqHz }
-
-// NPUCyclesPerSecond returns the NPU clock rate.
-func (c *Config) NPUCyclesPerSecond() float64 { return c.NPU.FreqHz }
-
 // VNBytesPerLine returns the off-chip VN storage per cacheline, rounded up
 // to whole bytes (56 bits -> 7 bytes).
 func (c *Config) VNBytesPerLine() int { return (c.Protection.VNBits + 7) / 8 }

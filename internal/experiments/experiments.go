@@ -94,30 +94,22 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// SystemProvider returns a calibrated end-to-end system for the kind.
-// Providers may cache: calibration is the expensive part of NewSystem, and
-// every returned *core.System is safe for concurrent read-only use
-// (TrainStep and friends construct their per-call simulators fresh).
-type SystemProvider func(kind config.SystemKind) (*core.System, error)
-
 // Env carries the execution environment a generator runs under. The zero
 // value (and a nil *Env) is valid: systems are then built and calibrated
 // on demand, uncached — the historical behavior.
 type Env struct {
-	// Systems supplies calibrated systems; nil means core.NewSystem.
-	Systems SystemProvider
 	// Configs supplies calibrated systems for explicit (possibly
-	// non-default) configurations — the scenario engine's entry point;
-	// nil means core.NewSystemFromConfig, uncached.
+	// non-default) configurations; nil means core.NewSystemFromConfig,
+	// uncached. Providers may cache: calibration is the expensive part of
+	// building a system, and every returned *core.System is safe for
+	// concurrent read-only use (TrainStep and friends construct their
+	// per-call simulators fresh).
 	Configs func(cfg config.Config) (*core.System, error)
 }
 
-// System resolves a calibrated system through the provider (or directly).
+// System resolves a calibrated system for kind's default configuration.
 func (e *Env) System(kind config.SystemKind) (*core.System, error) {
-	if e != nil && e.Systems != nil {
-		return e.Systems(kind)
-	}
-	return core.NewSystem(kind)
+	return e.SystemFromConfig(config.Default(kind))
 }
 
 // SystemFromConfig resolves a calibrated system for an explicit

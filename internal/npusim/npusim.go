@@ -145,14 +145,11 @@ type Result struct {
 	Total sim.Dur
 }
 
-// Compute / Memory / Stall sums across layers.
+// Compute sums per-layer compute time.
 func (r Result) Compute() sim.Dur { return r.sum(func(l LayerResult) sim.Dur { return l.Compute }) }
 
 // MemoryTotal sums per-layer memory occupancy.
 func (r Result) MemoryTotal() sim.Dur { return r.sum(func(l LayerResult) sim.Dur { return l.Memory }) }
-
-// StallTotal sums verification bubbles.
-func (r Result) StallTotal() sim.Dur { return r.sum(func(l LayerResult) sim.Dur { return l.Stall }) }
 
 // DataBytes sums GDDR data traffic.
 func (r Result) DataBytes() int64 {

