@@ -166,7 +166,8 @@ func FuzzTamperMemory(f *testing.F) {
 // metadata-line (8-slot) groups, and the region end — which replay
 // through two fresh simulators, one consuming spans and one stepping
 // lines. The Results (makespan, DRAM traffic, MEE and analyzer stats)
-// must be identical, and the same must hold after a span-drained Flush.
+// must be identical, and the engine and analyzer stats must stay
+// identical after both drain their dirty lines with Flush.
 func FuzzRunSpanParity(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 1, 8, 1, 2, 16, 2, 255, 3, 0}, uint8(2))
 	f.Add([]byte{7, 1, 0, 7, 1, 1}, uint8(0))     // single-line runs, mode off

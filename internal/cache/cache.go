@@ -51,9 +51,9 @@ type Cache struct {
 
 	// gens is a per-set generation counter, bumped whenever a tag in the
 	// set changes (fill, invalidate, reset). It is the cheap set-state
-	// fingerprint behind Handle revalidation and the span memos: while a
-	// set's generation is unchanged, residency answers about its lines
-	// stay valid (LRU-only updates never move tags). Maintenance costs a
+	// fingerprint behind Handle revalidation (the MEE's metadata memo):
+	// while a set's generation is unchanged, residency answers about its
+	// lines stay valid (LRU-only updates never move tags). Maintenance costs a
 	// store per fill, so it switches on with the first AccessTrack call
 	// (handles cannot predate it); the data caches, which never ask for
 	// handles, skip it entirely.
@@ -351,32 +351,6 @@ func (c *Cache) AccessVia(h Handle, addr uint64, write bool) bool {
 	return true
 }
 
-// AccessHitN performs n consecutive accesses to addr's line given it is
-// resident, reporting false (and touching nothing) when it is not. The
-// batched effect is exactly n sequential Access hits: the clock advances
-// by n, the line ends most recent, the dirty bit ORs in write, and n hits
-// are counted (repeat hits to the newest line change nothing else).
-func (c *Cache) AccessHitN(addr uint64, n int, write bool) bool {
-	if n <= 0 {
-		return true
-	}
-	set, tag := c.index(addr)
-	tags, lru := c.setViews(set)
-	for i := range tags {
-		if tags[i] == tag+1 {
-			c.clock += uint64(n)
-			stamp := c.clock | lru[i]&dirtyBit
-			if write {
-				stamp |= dirtyBit
-			}
-			lru[i] = stamp
-			c.hits += uint64(n)
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate drops addr's line if resident, returning a dirty victim if any.
 func (c *Cache) Invalidate(addr uint64) Result {
 	set, tag := c.index(addr)
@@ -453,47 +427,4 @@ func (c *Cache) Reset() {
 		}
 	}
 	c.clock, c.hits, c.misses, c.writebacks = 0, 0, 0, 0
-}
-
-// Hierarchy is a simple inclusive multi-level lookup: L1 -> L2 -> (shared)
-// L3. It returns the level that hit (1-based) or 0 for memory, plus any
-// dirty writebacks generated on the fill path.
-type Hierarchy struct {
-	L1, L2 *Cache // per-core
-	L3     *Cache // shared, may be nil
-}
-
-// AccessResult reports where a hierarchy access was satisfied.
-type AccessResult struct {
-	Level      int // 1,2,3 or 0 = DRAM
-	Writebacks []uint64
-}
-
-// Access walks the hierarchy for the line containing addr.
-func (h *Hierarchy) Access(addr uint64, write bool) AccessResult {
-	var wbs []uint64
-	record := func(r Result) {
-		if r.HasWriteback {
-			wbs = append(wbs, r.WritebackAddr)
-		}
-	}
-	if r := h.L1.Access(addr, write); r.Hit {
-		return AccessResult{Level: 1}
-	} else {
-		record(r)
-	}
-	if r := h.L2.Access(addr, false); r.Hit {
-		return AccessResult{Level: 2, Writebacks: wbs}
-	} else {
-		record(r)
-	}
-	if h.L3 != nil {
-		if r := h.L3.Access(addr, false); r.Hit {
-			return AccessResult{Level: 3, Writebacks: wbs}
-		} else {
-			record(r)
-		}
-		return AccessResult{Level: 0, Writebacks: wbs}
-	}
-	return AccessResult{Level: 0, Writebacks: wbs}
 }

@@ -211,46 +211,6 @@ func TestMatchesReferenceModelProperty(t *testing.T) {
 	}
 }
 
-func TestHierarchy(t *testing.T) {
-	h := &Hierarchy{
-		L1: New("l1", 2*64, 2, 64),
-		L2: New("l2", 4*64, 4, 64),
-		L3: New("l3", 8*64, 8, 64),
-	}
-	if r := h.Access(0, false); r.Level != 0 {
-		t.Errorf("cold access level = %d, want 0 (DRAM)", r.Level)
-	}
-	if r := h.Access(0, false); r.Level != 1 {
-		t.Errorf("hot access level = %d, want 1", r.Level)
-	}
-	// Evict from L1 by touching two more lines in its only set; line 0
-	// should still hit in L2.
-	h.Access(64, false)
-	h.Access(128, false)
-	if r := h.Access(0, false); r.Level != 2 && r.Level != 3 {
-		t.Errorf("evicted line hit level %d, want 2 or 3", r.Level)
-	}
-}
-
-func TestHierarchyWithoutL3(t *testing.T) {
-	h := &Hierarchy{L1: New("l1", 64, 1, 64), L2: New("l2", 2*64, 2, 64)}
-	if r := h.Access(0, false); r.Level != 0 {
-		t.Error("cold access should go to DRAM")
-	}
-	if r := h.Access(0, false); r.Level != 1 {
-		t.Error("hot access should hit L1")
-	}
-}
-
-func TestHierarchyCollectsWritebacks(t *testing.T) {
-	h := &Hierarchy{L1: New("l1", 64, 1, 64), L2: New("l2", 64, 1, 64)}
-	h.Access(0, true)        // dirty in L1
-	r := h.Access(64, false) // evicts line 0 from both
-	if len(r.Writebacks) == 0 {
-		t.Error("dirty writeback lost in hierarchy")
-	}
-}
-
 // TestIndexMatchesPlainModulo pins the strength-reduced set indexing
 // (shift/mask and the odd<<k Lemire decomposition) against the plain
 // division it replaced, across the repo's real geometries and awkward

@@ -85,38 +85,6 @@ func TestAccessViaWrongLine(t *testing.T) {
 	}
 }
 
-// TestAccessHitNMatchesRepeatedAccess pins the batched same-line hit
-// path: AccessHitN(addr, n) must leave the cache bit-identical to n
-// sequential Access calls, and refuse (untouched) when the line is not
-// resident.
-func TestAccessHitNMatchesRepeatedAccess(t *testing.T) {
-	a := New("a", 1024, 4, 64)
-	b := New("b", 1024, 4, 64)
-	for _, c := range []*Cache{a, b} {
-		c.Access(0, false)
-		c.Access(64, true)
-	}
-	if !a.AccessHitN(64, 5, false) {
-		t.Fatal("resident line should batch")
-	}
-	for i := 0; i < 5; i++ {
-		b.Access(64, false)
-	}
-	if a.Stats() != b.Stats() || a.clock != b.clock {
-		t.Fatalf("batched state diverges: %+v clock=%d vs %+v clock=%d", a.Stats(), a.clock, b.Stats(), b.clock)
-	}
-	if !reflect.DeepEqual(a.slab, b.slab) {
-		t.Fatal("batched recency/dirty state diverges from per-line")
-	}
-	before := a.Stats()
-	if a.AccessHitN(4096, 3, true) {
-		t.Fatal("non-resident line must refuse")
-	}
-	if a.Stats() != before {
-		t.Fatal("refused AccessHitN must not touch counters")
-	}
-}
-
 // TestWideWaysReference drives a 16-way single-set cache against an
 // in-test reference LRU model (mirroring
 // TestMatchesReferenceModelProperty's semantics at higher

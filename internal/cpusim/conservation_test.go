@@ -15,6 +15,9 @@ import (
 // lines moved, run by run. Every DRAM transfer is either a data line the
 // MEE charged or a metadata line it fetched or wrote back, and every data
 // read the MEE charged is an L3 miss (the only path to readThroughMEE).
+// Every protected data line, read or written, costs exactly one AES pad
+// and at least one MAC (the data MAC, plus one per Merkle level walked
+// or tree update); unprotected runs cost neither.
 // L2 and L3 are cut to 1/8 so that the Adam working set spills and dirty
 // lines leave as writebacks; chunk seams shift per iteration as in
 // Figs. 18 and 19, so iterations replay different streams.
@@ -50,6 +53,18 @@ func TestCrossLayerConservation(t *testing.T) {
 					}
 					if l3Misses := s.l3.Stats().Misses - l3Before; r.MEE.DataReads != l3Misses {
 						t.Errorf("iteration %d: MEE data reads %d, L3 misses %d", it, r.MEE.DataReads, l3Misses)
+					}
+					if mode == mee.ModeOff {
+						if r.MEE.AESOps != 0 || r.MEE.MACOps != 0 {
+							t.Errorf("iteration %d: unprotected run charged %d AES and %d MAC ops", it, r.MEE.AESOps, r.MEE.MACOps)
+						}
+						continue
+					}
+					if data := r.MEE.DataReads + r.MEE.DataWrites; r.MEE.AESOps != data {
+						t.Errorf("iteration %d: %d AES ops for %d protected data lines", it, r.MEE.AESOps, data)
+					}
+					if r.MEE.MACOps < r.MEE.AESOps {
+						t.Errorf("iteration %d: %d MAC ops, fewer than the %d AES ops", it, r.MEE.MACOps, r.MEE.AESOps)
 					}
 				}
 			})

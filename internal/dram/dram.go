@@ -120,13 +120,6 @@ type Memory struct {
 	// the zone exactly as before.
 	refLo, refHi sim.Time
 
-	// runGroup is the steady-state fast-forward period of AccessRun: the
-	// number of consecutive lines that cover exactly one row block on
-	// every channel (linesPerRow x Channels). 0 disables the fast path
-	// (non-power-of-two geometry, or a period too large for the channel
-	// hash to stay uniform within a period).
-	runGroup int
-
 	reads       uint64
 	writes      uint64
 	refClosures uint64
@@ -146,18 +139,6 @@ func New(t Timing, channels int) *Memory {
 	m.rowShift = sim.Pow2Shift(t.RowBytes / t.BurstBytes)
 	if sim.Pow2Shift(t.Banks) >= 0 {
 		m.bankMask = uint64(t.Banks - 1)
-	}
-	// AccessRun's closed-form group walk requires the strength-reduced
-	// (power-of-two) mappings throughout, and a group small enough that
-	// the XOR channel hash (line ^ line>>9) is constant in its high part
-	// across one aligned group — true whenever the group divides 512
-	// lines. Both device profiles in this repo qualify (256-line groups).
-	if m.burstShift >= 0 && m.chanShift >= 0 && m.rowShift >= 0 &&
-		(m.bankMask != 0 || t.Banks == 1) {
-		group := (t.RowBytes / t.BurstBytes) * channels
-		if group > 0 && group <= 512 && group&(group-1) == 0 {
-			m.runGroup = group
-		}
 	}
 	m.chans = make([]channel, channels)
 	for i := range m.chans {
@@ -280,170 +261,15 @@ func (m *Memory) Access(at sim.Time, addr uint64, write bool) sim.Time {
 }
 
 // AccessRun services lines consecutive line accesses (addr, addr+stride,
-// ...) all issued at time at — the uniform streaming span shape of dirty
-// flushes, bulk transfers, and the MEE's batched slot groups — returning
-// the latest completion. It is exactly equivalent, in every bank, bus,
-// refresh, and counter field, to calling Access per line in ascending
-// order and taking the maximum: the per-line stepping stays in-tree as
-// the oracle, and the parity and fuzz suites pin the equivalence.
-//
-// The steady-state fast-forward: once the span reaches a group-aligned
-// line, each group of runGroup consecutive lines covers exactly one row
-// block — every channel sees linesPerRow back-to-back column accesses to
-// one (bank, row). The group's machine state fingerprint (the visited
-// bank's open row, ready/activate times, the channel bus horizon, and
-// the cached refresh-free zone) fully determines its evolution, and the
-// chained max() recurrences of Access collapse into closed form: one
-// activate decision plus two arithmetic series per channel replace
-// runGroup per-line walks. Whenever the fingerprint leaves the closed
-// form's domain — a refresh window inside the group's time range, or an
-// unaligned head/tail — the walk falls back to per-line Access.
+// ...) all issued at time at — the streaming span shape perfbench's
+// per-layer probe replays — returning the latest completion. It is a
+// loop of Access in ascending order.
 func (m *Memory) AccessRun(at sim.Time, addr uint64, lines int, stride uint64, write bool) sim.Time {
 	var end sim.Time
-	i := 0
-	if m.runGroup > 0 && stride == uint64(m.T.BurstBytes) {
-		group := uint64(m.runGroup)
-		line := addr >> uint(m.burstShift)
-		// Per-line head up to the group boundary.
-		head := int((group - line%group) % group)
-		if head > lines {
-			head = lines
-		}
-		for ; i < head; i++ {
-			if done := m.Access(at, addr+uint64(i)*stride, write); done > end {
-				end = done
-			}
-		}
-		for lines-i >= m.runGroup {
-			done, ok := m.accessGroup(at, addr+uint64(i)*stride, write)
-			if !ok {
-				// Refresh window (or cold zone) inside the group: the
-				// per-line oracle handles it, then the walk re-enters the
-				// closed form at the next group.
-				done = 0
-				for j := 0; j < m.runGroup; j++ {
-					if d := m.Access(at, addr+uint64(i+j)*stride, write); d > done {
-						done = d
-					}
-				}
-			}
-			if done > end {
-				end = done
-			}
-			i += m.runGroup
-		}
-	}
-	for ; i < lines; i++ {
-		if done := m.Access(at, addr+uint64(i)*stride, write); done > end {
-			end = done
-		}
+	for i := 0; i < lines; i++ {
+		end = sim.Max(end, m.Access(at, addr+uint64(i)*stride, write))
 	}
 	return end
-}
-
-// accessGroup applies one group-aligned runGroup-line group in closed
-// form, or reports ok=false (state untouched) when the group's time range
-// is not provably inside the cached refresh-free zone. See AccessRun.
-func (m *Memory) accessGroup(at sim.Time, addr uint64, write bool) (sim.Time, bool) {
-	line := addr >> uint(m.burstShift)
-	// Within an aligned group the high XOR part of the channel key is
-	// constant, so channels partition the group evenly: L lines each, in
-	// line order, all mapping to the same row block (and therefore the
-	// same bank index and row on every channel).
-	rowBlk := (line >> uint(m.chanShift)) >> uint(m.rowShift)
-	bkKey := rowBlk ^ (rowBlk >> 4) ^ (rowBlk >> 9)
-	var bk int
-	if m.bankMask != 0 || m.T.Banks == 1 {
-		bk = int(bkKey & m.bankMask)
-	}
-	row := int64(rowBlk)
-	L := sim.Dur(m.runGroup / m.Channels)
-	B := m.T.Burst
-
-	// First pass: verify every pre-branch issue time of every channel
-	// lands in the cached refresh-free zone, so the per-line refresh
-	// branch would be skipped throughout and no zone state changes.
-	if m.T.TREFI > 0 {
-		for c := range m.chans {
-			b := &m.chans[c].banks[bk]
-			start0 := sim.Max(at, b.readyAt)
-			s := start0
-			switch {
-			case b.openRow == row:
-			case b.openRow == -1:
-				s = start0 + m.T.TRCD
-			default:
-				pre := start0
-				if b.lastActAt+m.T.TRAS > pre {
-					pre = b.lastActAt + m.T.TRAS
-				}
-				s = pre + m.T.TRP + m.T.TRCD
-			}
-			// Issue times are start0 then s+B .. s+(L-1)B, all ascending.
-			if start0 < m.refLo || s+(L-1)*B >= m.refHi {
-				return 0, false
-			}
-		}
-	}
-
-	// Second pass: commit. Per channel, the L accesses are one activate
-	// decision (exactly Access's branch on the visited bank) followed by
-	// L-1 row hits whose ready/bus chains are arithmetic series:
-	//
-	//	start_i = S + i*Burst                      (S >= at always)
-	//	bus_i+1 = max(start_i + TCAS + Burst, bus_1 + i*Burst)
-	//
-	// so the group's final bank and bus state — and the maximum done —
-	// come from the series' last terms.
-	var end sim.Time
-	for c := range m.chans {
-		ch := &m.chans[c]
-		b := &ch.banks[bk]
-		start0 := sim.Max(at, b.readyAt)
-		var s sim.Time
-		switch {
-		case b.openRow == row:
-			s = start0
-			b.rowHits += uint64(L)
-		case b.openRow == -1:
-			s = start0 + m.T.TRCD
-			b.rowMisses++
-			b.activates++
-			b.lastActAt = s
-			b.openRow = row
-			b.rowHits += uint64(L - 1)
-		default:
-			pre := start0
-			if b.lastActAt+m.T.TRAS > pre {
-				pre = b.lastActAt + m.T.TRAS
-			}
-			s = pre + m.T.TRP + m.T.TRCD
-			b.rowConfl++
-			b.activates++
-			b.lastActAt = s
-			b.openRow = row
-			b.rowHits += uint64(L - 1)
-		}
-		u1 := ch.bus.Acquire(s+m.T.TCAS, B)
-		var done sim.Time
-		if L > 1 {
-			aLast := s + (L-1)*B + m.T.TCAS
-			done = sim.Max(aLast+B, u1+(L-1)*B)
-			ch.bus.FastForward(done, (L-1)*B)
-		} else {
-			done = u1
-		}
-		b.readyAt = s + L*B
-		if done > end {
-			end = done
-		}
-	}
-	if write {
-		m.writes += uint64(m.runGroup)
-	} else {
-		m.reads += uint64(m.runGroup)
-	}
-	return end, true
 }
 
 // Stats aggregates device counters.

@@ -8,7 +8,7 @@ import (
 )
 
 // runOracle replays a span as per-line Access calls — the in-tree oracle
-// AccessRun's steady-state fast-forward must match bit for bit.
+// AccessRun must match bit for bit.
 func runOracle(m *Memory, at sim.Time, addr uint64, lines int, stride uint64, write bool) sim.Time {
 	var end sim.Time
 	for i := 0; i < lines; i++ {
@@ -112,8 +112,8 @@ func TestDRAMRunParity(t *testing.T) {
 }
 
 // TestDRAMRunRefreshCrossing forces spans whose time range straddles
-// refresh windows: the group walk must detect the crossing and fall back
-// per line without disturbing the cached zone bookkeeping.
+// refresh windows: AccessRun must cross them without disturbing the
+// cached zone bookkeeping.
 func TestDRAMRunRefreshCrossing(t *testing.T) {
 	ti := DDR4_2400()
 	fast := New(ti, 2)

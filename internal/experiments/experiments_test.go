@@ -126,8 +126,8 @@ func TestHeavyExperimentsBands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := r.Scalars["max_slowdown"]; v < 2.5 || v > 5.5 {
-			t.Errorf("max SGX slowdown = %g, want band [2.5, 5.5] (paper ~3.7)", v)
+		if v := r.Scalars["max_slowdown"]; v < 3.145 || v > 4.255 {
+			t.Errorf("max SGX slowdown = %g, want band [3.145, 4.255] (paper ~3.7 ±15%%)", v)
 		}
 	})
 	t.Run("fig5", func(t *testing.T) {
@@ -144,11 +144,11 @@ func TestHeavyExperimentsBands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := r.Scalars["avg_speedup"]; v < 2.5 || v > 6.5 {
-			t.Errorf("avg speedup = %g, want band [2.5, 6.5] (paper 4.0)", v)
+		if v := r.Scalars["avg_speedup"]; v < 3.4 || v > 4.6 {
+			t.Errorf("avg speedup = %g, want band [3.4, 4.6] (paper 4.0 ±15%%)", v)
 		}
-		if v := r.Scalars["max_speedup"]; v < 4.0 || v > 8.5 {
-			t.Errorf("max speedup = %g, want band [4.0, 8.5] (paper 5.5)", v)
+		if v := r.Scalars["max_speedup"]; v < 4.675 || v > 6.325 {
+			t.Errorf("max speedup = %g, want band [4.675, 6.325] (paper 5.5 ±15%%)", v)
 		}
 		if v := r.Scalars["avg_overhead_pct"]; v < 0 || v > 6 {
 			t.Errorf("avg overhead = %g%%, want band [0, 6] (paper 2.1%%)", v)
@@ -171,8 +171,8 @@ func TestHeavyExperimentsBands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := r.Scalars["sgx_8t"]; v < 2.5 || v > 5.5 {
-			t.Errorf("SGX 8t = %g, want band [2.5, 5.5] (paper 3.65)", v)
+		if v := r.Scalars["sgx_8t"]; v < 3.1025 || v > 4.1975 {
+			t.Errorf("SGX 8t = %g, want band [3.1025, 4.1975] (paper 3.65 ±15%%)", v)
 		}
 		if v := r.Scalars["tte_final_8t"]; v < 0.95 || v > 1.4 {
 			t.Errorf("TensorTEE final 8t = %g, want band [0.95, 1.4] (paper 1.03)", v)

@@ -280,24 +280,14 @@ type ReadResult struct {
 // at. The data fetch itself is included (the engine fronts the memory
 // controller).
 func (e *Engine) Read(at sim.Time, addr uint64) ReadResult {
-	if e.Mode == ModeOff {
-		e.stats.DataReads++
-		tData := e.mem.Access(at, addr, false)
-		return ReadResult{DataReady: tData, Verified: tData}
-	}
-	return e.readLine(at, addr, e.Layout.VNLineAddr(addr), e.Layout.MACLineAddr(addr))
-}
-
-// readLine is the protected-read dataflow with the metadata line
-// addresses hoisted: span callers compute them once per 8-slot group
-// instead of once per line. The access sequence is identical to the
-// historical Read body, so cache and DRAM state evolve identically.
-func (e *Engine) readLine(at sim.Time, addr, vnLine, macLine uint64) ReadResult {
 	e.stats.DataReads++
 	tData := e.mem.Access(at, addr, false)
+	if e.Mode == ModeOff {
+		return ReadResult{DataReady: tData, Verified: tData}
+	}
 
 	// VN acquisition.
-	tVN, vnMissed := e.metaAccess(at, vnLine, false, &e.stats.VNReads)
+	tVN, vnMissed := e.metaAccess(at, e.Layout.VNLineAddr(addr), false, &e.stats.VNReads)
 	if vnMissed {
 		// Merkle walk: serial levels until a metadata-cache hit; each level
 		// costs a MAC verification.
@@ -321,7 +311,7 @@ func (e *Engine) readLine(at sim.Time, addr, vnLine, macLine uint64) ReadResult 
 	dataReady := sim.Max(tData, padDone)
 
 	// Data MAC verification: fetch the MAC line, recompute, compare.
-	tMAC, _ := e.metaAccess(at, macLine, false, &e.stats.MACReads)
+	tMAC, _ := e.metaAccess(at, e.Layout.MACLineAddr(addr), false, &e.stats.MACReads)
 	verDone := sim.Max(tData, tMAC) + e.macLat
 	e.stats.MACOps++
 
@@ -330,25 +320,23 @@ func (e *Engine) readLine(at sim.Time, addr, vnLine, macLine uint64) ReadResult 
 	return ReadResult{DataReady: done, Verified: done}
 }
 
+// max returns the componentwise latest of r and o.
+func (r ReadResult) max(o ReadResult) ReadResult {
+	return ReadResult{DataReady: sim.Max(r.DataReady, o.DataReady), Verified: sim.Max(r.Verified, o.Verified)}
+}
+
 // Write charges a protected write (dirty LLC eviction) of one line at addr
 // issued at time at, returning when the line (and its metadata updates)
 // retire. Writes are posted: the returned time matters for occupancy, not
 // for the core's critical path.
 func (e *Engine) Write(at sim.Time, addr uint64) sim.Time {
+	e.stats.DataWrites++
 	if e.Mode == ModeOff {
-		e.stats.DataWrites++
 		return e.mem.Access(at, addr, true)
 	}
-	return e.writeLine(at, addr, e.Layout.VNLineAddr(addr), e.Layout.MACLineAddr(addr))
-}
-
-// writeLine is the protected-write dataflow with hoisted metadata line
-// addresses (see readLine).
-func (e *Engine) writeLine(at sim.Time, addr, vnLine, macLine uint64) sim.Time {
-	e.stats.DataWrites++
 
 	// VN increment: RMW on the VN line through the metadata cache.
-	tVN, vnMissed := e.metaAccess(at, vnLine, true, &e.stats.VNReads)
+	tVN, vnMissed := e.metaAccess(at, e.Layout.VNLineAddr(addr), true, &e.stats.VNReads)
 	t := tVN
 	if vnMissed {
 		// Verify the fetched VN before trusting it (walk), then update the
@@ -375,7 +363,7 @@ func (e *Engine) writeLine(at sim.Time, addr, vnLine, macLine uint64) sim.Time {
 	tData := e.mem.Access(padDone, addr, true)
 
 	// Recompute and store the data MAC.
-	tMACLine, _ := e.metaAccess(at, macLine, true, &e.stats.MACReads)
+	tMACLine, _ := e.metaAccess(at, e.Layout.MACLineAddr(addr), true, &e.stats.MACReads)
 	tMAC := sim.Max(padDone, tMACLine) + e.macLat
 	e.stats.MACOps++
 
@@ -464,112 +452,20 @@ func (e *Engine) TensorWrite(at sim.Time, addr uint64, outcome TensorOutcome) si
 //
 // The Run methods charge a whole span of n consecutive data lines issued
 // in one burst at time `at` — the shape perfbench's per-layer probes and
-// the span parity tests replay (cpusim drives the engine per line). The
-// metadata-cache and DRAM bank/bus state machines are order-dependent,
-// so their transitions follow exactly the per-line order — but within a
-// slot group that order is known in advance: after the group's first
-// line resolves, the remaining lines can only re-hit the same two
-// resident metadata lines, so the group collapses to one residency probe
-// plus batched hit bookkeeping, and the data-line transfers fast-forward
-// through dram.AccessRun's steady-state walk. Groups whose metadata is
-// not resident after the first line replay per line. Calling a Run
-// method is therefore indistinguishable, state- and stats-wise, from n
-// sequential single-line calls; the returned time aggregates the span
-// (latest completion).
-
-// spanGroups calls fn for each metadata slot group of the span: base
-// address, line count, and the group's shared VN/MAC line addresses.
-func (e *Engine) spanGroups(addr uint64, n int, fn func(base uint64, lines int, vnLine, macLine uint64)) {
-	lb := uint64(e.Layout.LineBytes)
-	slotsPerLine := e.Layout.LineBytes / metaSlotBytes
-	for i := 0; i < n; {
-		a := addr + uint64(i)*lb
-		group := slotsPerLine - e.Layout.lineIdx(a)%slotsPerLine
-		if group > n-i {
-			group = n - i
-		}
-		fn(a, group, e.Layout.VNLineAddr(a), e.Layout.MACLineAddr(a))
-		i += group
-	}
-}
-
-// readGroup charges one slot group of `lines` consecutive protected line
-// reads issued at time at, sharing vnLine/macLine. The first line runs
-// the full dataflow; when both metadata lines are resident afterwards,
-// the remaining lines are provably pure metadata-cache hits (hits cannot
-// evict, so no fills, walks, or writebacks can occur mid-group) and
-// collapse into batched hit bookkeeping plus one AccessRun over the data
-// lines. Their dataflow times share every term except the data fetch, so
-// the aggregate needs only the span's latest transfer.
-func (e *Engine) readGroup(at sim.Time, base uint64, lines int, vnLine, macLine uint64) ReadResult {
-	lb := uint64(e.Layout.LineBytes)
-	agg := e.readLine(at, base, vnLine, macLine)
-	j := 1
-	if j < lines && e.metaCache.Probe(vnLine) && e.metaCache.Probe(macLine) {
-		k := lines - j
-		e.metaCache.AccessHitN(vnLine, k, false)
-		e.metaCache.AccessHitN(macLine, k, false)
-		e.stats.MetaCacheHits += 2 * uint64(k)
-		e.stats.DataReads += uint64(k)
-		e.stats.AESOps += uint64(k)
-		e.stats.MACOps += uint64(k)
-		maxData := e.mem.AccessRun(at, base+uint64(j)*lb, k, lb, false)
-		tMeta := at + e.metaLat
-		done := sim.Max(sim.Max(maxData, tMeta+e.aesLat), sim.Max(maxData, tMeta)+e.macLat)
-		agg.DataReady = sim.Max(agg.DataReady, done)
-		agg.Verified = sim.Max(agg.Verified, done)
-		return agg
-	}
-	for ; j < lines; j++ {
-		r := e.readLine(at, base+uint64(j)*lb, vnLine, macLine)
-		agg.DataReady = sim.Max(agg.DataReady, r.DataReady)
-		agg.Verified = sim.Max(agg.Verified, r.Verified)
-	}
-	return agg
-}
-
-// writeGroup is readGroup's write-dataflow counterpart (see writeLine for
-// the per-line shape being collapsed).
-func (e *Engine) writeGroup(at sim.Time, base uint64, lines int, vnLine, macLine uint64) sim.Time {
-	lb := uint64(e.Layout.LineBytes)
-	last := e.writeLine(at, base, vnLine, macLine)
-	j := 1
-	if j < lines && e.metaCache.Probe(vnLine) && e.metaCache.Probe(macLine) {
-		k := lines - j
-		e.metaCache.AccessHitN(vnLine, k, true)
-		e.metaCache.AccessHitN(macLine, k, true)
-		e.stats.MetaCacheHits += 2 * uint64(k)
-		e.stats.DataWrites += uint64(k)
-		e.stats.AESOps += uint64(k)
-		e.stats.MACOps += 2 * uint64(k)
-		tMeta := at + e.metaLat
-		padDone := tMeta + e.macLat + e.aesLat
-		maxData := e.mem.AccessRun(padDone, base+uint64(j)*lb, k, lb, true)
-		tMAC := sim.Max(padDone, tMeta) + e.macLat
-		return sim.Max(last, sim.Max(maxData, tMAC))
-	}
-	for ; j < lines; j++ {
-		last = sim.Max(last, e.writeLine(at, base+uint64(j)*lb, vnLine, macLine))
-	}
-	return last
-}
+// the span parity tests replay (cpusim drives the engine per line). Each
+// is a loop of the single-line call, so it is by construction identical,
+// state- and stats-wise, to n sequential single-line calls; the returned
+// time aggregates the span (latest completion).
 
 // ReadRun charges n consecutive protected line reads issued at time at,
 // returning the span's aggregate timing (latest data release and latest
 // verification).
 func (e *Engine) ReadRun(at sim.Time, addr uint64, n int) ReadResult {
 	var agg ReadResult
-	if e.Mode == ModeOff {
-		e.stats.DataReads += uint64(n)
-		agg.DataReady = e.mem.AccessRun(at, addr, n, uint64(e.Layout.LineBytes), false)
-		agg.Verified = agg.DataReady
-		return agg
+	lb := uint64(e.Layout.LineBytes)
+	for i := 0; i < n; i++ {
+		agg = agg.max(e.Read(at, addr+uint64(i)*lb))
 	}
-	e.spanGroups(addr, n, func(base uint64, lines int, vnLine, macLine uint64) {
-		r := e.readGroup(at, base, lines, vnLine, macLine)
-		agg.DataReady = sim.Max(agg.DataReady, r.DataReady)
-		agg.Verified = sim.Max(agg.Verified, r.Verified)
-	})
 	return agg
 }
 
@@ -578,46 +474,21 @@ func (e *Engine) ReadRun(at sim.Time, addr uint64, n int) ReadResult {
 // updates retire.
 func (e *Engine) WriteRun(at sim.Time, addr uint64, n int) sim.Time {
 	var last sim.Time
-	if e.Mode == ModeOff {
-		e.stats.DataWrites += uint64(n)
-		return e.mem.AccessRun(at, addr, n, uint64(e.Layout.LineBytes), true)
+	lb := uint64(e.Layout.LineBytes)
+	for i := 0; i < n; i++ {
+		last = sim.Max(last, e.Write(at, addr+uint64(i)*lb))
 	}
-	e.spanGroups(addr, n, func(base uint64, lines int, vnLine, macLine uint64) {
-		last = sim.Max(last, e.writeGroup(at, base, lines, vnLine, macLine))
-	})
 	return last
 }
 
 // TensorReadRun charges a span of n consecutive reads sharing one
-// TenAnalyzer outcome (from tenanalyzer.ReadRun). Hit-in spans collapse
-// to the on-chip-VN dataflow with batched crypto counters; boundary and
-// miss spans take the cacheline-granularity path per line.
+// TenAnalyzer outcome (from tenanalyzer.ReadRun).
 func (e *Engine) TensorReadRun(at sim.Time, addr uint64, n int, outcome TensorOutcome) ReadResult {
 	var agg ReadResult
 	lb := uint64(e.Layout.LineBytes)
-	switch outcome {
-	case THitIn:
-		e.stats.DataReads += uint64(n)
-		e.stats.HitIn += uint64(n)
-		e.stats.AESOps += uint64(n)
-		e.stats.MACOps += uint64(n)
-		if n > 0 {
-			padDone := at + e.aesLat
-			ready := sim.Max(e.mem.AccessRun(at, addr, n, lb, false), padDone)
-			agg.DataReady = ready
-			agg.Verified = ready + e.macLat
-		}
-		return agg
-	case THitBoundary:
-		e.stats.HitBoundary += uint64(n)
-	default:
-		e.stats.Mis += uint64(n)
+	for i := 0; i < n; i++ {
+		agg = agg.max(e.TensorRead(at, addr+uint64(i)*lb, outcome))
 	}
-	e.spanGroups(addr, n, func(base uint64, lines int, vnLine, macLine uint64) {
-		r := e.readGroup(at, base, lines, vnLine, macLine)
-		agg.DataReady = sim.Max(agg.DataReady, r.DataReady)
-		agg.Verified = sim.Max(agg.Verified, r.Verified)
-	})
 	return agg
 }
 

@@ -74,34 +74,3 @@ func TestRunMethodsMatchPerLine(t *testing.T) {
 		}
 	}
 }
-
-// TestSpanGroupsCoversSlotGeometry pins the 8-slot group walk: every
-// line is visited once, groups never cross a metadata line, and group
-// VN/MAC addresses match the per-line layout answers.
-func TestSpanGroupsCoversSlotGeometry(t *testing.T) {
-	e, _ := newTestEngine(ModeSGX)
-	for _, tc := range []struct{ start, n int }{
-		{0, 16}, // aligned
-		{5, 17}, // straddles three groups
-		{7, 1},  // single line at group end
-		{3, 4},  // inside one group
-	} {
-		var visited int
-		e.spanGroups(uint64(tc.start)*64, tc.n, func(base uint64, lines int, vnLine, macLine uint64) {
-			for j := 0; j < lines; j++ {
-				a := base + uint64(j)*64
-				if e.Layout.VNLineAddr(a) != vnLine || e.Layout.MACLineAddr(a) != macLine {
-					t.Fatalf("line %#x: group metadata addresses diverge from layout", a)
-				}
-			}
-			first, last := e.Layout.lineIdx(base), e.Layout.lineIdx(base+uint64(lines-1)*64)
-			if first/8 != last/8 {
-				t.Fatalf("group [%d,%d] crosses a metadata line", first, last)
-			}
-			visited += lines
-		})
-		if visited != tc.n {
-			t.Fatalf("start %d n %d: visited %d lines", tc.start, tc.n, visited)
-		}
-	}
-}

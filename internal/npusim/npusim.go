@@ -145,29 +145,6 @@ type Result struct {
 	Total sim.Dur
 }
 
-// Compute sums per-layer compute time.
-func (r Result) Compute() sim.Dur { return r.sum(func(l LayerResult) sim.Dur { return l.Compute }) }
-
-// MemoryTotal sums per-layer memory occupancy.
-func (r Result) MemoryTotal() sim.Dur { return r.sum(func(l LayerResult) sim.Dur { return l.Memory }) }
-
-// DataBytes sums GDDR data traffic.
-func (r Result) DataBytes() int64 {
-	var n int64
-	for _, l := range r.Layers {
-		n += l.DataBytes
-	}
-	return n
-}
-
-func (r Result) sum(f func(LayerResult) sim.Dur) sim.Dur {
-	var t sim.Dur
-	for _, l := range r.Layers {
-		t += f(l)
-	}
-	return t
-}
-
 // NPU is the simulator instance.
 type NPU struct {
 	cfg      Config

@@ -116,19 +116,6 @@ func (r *Resource) Acquire(at Time, occupancy Dur) Time {
 	return r.busyUntil
 }
 
-// FastForward advances the resource to the given horizon while charging
-// occupancy — the closed-form equivalent of a chain of Acquire calls whose
-// final completion is until and whose summed occupancy is occupancy. The
-// horizon never rewinds, so a correct caller (one whose chain algebra
-// yields until >= BusyUntil) leaves the resource exactly as the chain
-// would have.
-func (r *Resource) FastForward(until Time, occupancy Dur) {
-	if until > r.busyUntil {
-		r.busyUntil = until
-	}
-	r.busyTotal += occupancy
-}
-
 // BusyUntil reports the time at which all accepted work completes.
 func (r *Resource) BusyUntil() Time { return r.busyUntil }
 

@@ -551,104 +551,18 @@ func (a *Analyzer) Read(addr uint64) (Outcome, uint64) {
 	return Miss, vn
 }
 
-// --- span classification (the run-length fast path) -------------------------
-
-// contiguousWithin returns how many of the n consecutive lines starting
-// at the entry's canonical index lineIdx stay inside the entry at
-// line-granular stride: the span prefix for which lookup would keep
-// answering (id, lineIdx+i). Zero-cost for strided entries (only the
-// first line is provably covered).
-func (a *Analyzer) contiguousWithin(e *Entry, lineIdx int, n int) int {
-	d0 := e.Dims[0]
-	if d0.Stride != uint64(a.cfg.LineBytes) {
-		return 1 // strided innermost dim: consecutive addresses leave the entry
-	}
-	// Remaining lines of the innermost run the index sits in. Outer
-	// dimensions have stride > inner reach (validDims), so the next
-	// consecutive address after an inner run's end is not covered.
-	left := d0.Count - lineIdx%d0.Count
-	if len(e.Dims) == 1 {
-		left = e.Lines() - lineIdx
-	}
-	if left > n {
-		left = n
-	}
-	return left
-}
-
 // ReadRun classifies a span of n consecutive lines starting at addr (the
 // read dataflow of Figure 10, span-granular). It returns the outcome
 // shared by the first consumed lines (1 <= consumed <= n) and applies
-// exactly the state mutations of consumed sequential Read calls:
-//
-//   - HitIn spans inside one Meta Table entry collapse to a single
-//     lookup: the clock, the hit counters and the entry's LRU stamp
-//     advance by the whole span at once.
-//   - Frontier misses (addr beyond every entry's bounding box) collapse
-//     likewise: n filter observations at one classification.
-//   - Everything else — boundary extensions, in-range misses — consumes
-//     one line through the per-line dataflow, the fallback the callers
-//     then re-enter for the rest of the span.
+// exactly the state mutations of consumed sequential Read calls; callers
+// re-enter it for the rest of the span. It consumes one line per call,
+// through Read.
 //
 // Per-line VNs are not returned: span callers are timing models, and the
 // per-line Read remains the source of decryption VNs.
 func (a *Analyzer) ReadRun(addr uint64, n int) (Outcome, int) {
-	addr = a.lineAddr(addr)
-	if n > 1 {
-		if id, lineIdx, ok := a.lookup(addr); ok {
-			e := &a.entries[id]
-			k := a.contiguousWithin(e, lineIdx, n)
-			a.clock += uint64(k)
-			e.lastUse = a.clock
-			a.stats.HitIn += uint64(k)
-			return HitIn, k
-		}
-		if k := a.frontierMissRun(addr, n); k == n {
-			// The whole span misses at classification time: feed the
-			// filter line by line (its observations are the point of a
-			// miss), but stop right after a promotion — the new entry
-			// registers a boundary at the very next line, which the
-			// per-line dataflow would see as a hit-boundary, so the
-			// remainder of the span must be reclassified.
-			consumed := 0
-			for consumed < n {
-				la := addr + uint64(consumed)*uint64(a.cfg.LineBytes)
-				a.clock++
-				a.stats.Miss++
-				vn := a.store.Get(la)
-				s := a.filter.observe(la, vn, a.clock)
-				consumed++
-				if s != nil {
-					a.promote(s)
-					break
-				}
-			}
-			return Miss, consumed
-		}
-	}
 	o, _ := a.Read(addr)
 	return o, 1
-}
-
-// frontierMissRun reports n when every line of the span provably misses
-// — the span starts at or beyond every valid entry's bounding end and no
-// boundary extension is registered inside it — and 0 otherwise.
-// Ascending addresses keep the property for the whole span.
-func (a *Analyzer) frontierMissRun(addr uint64, n int) int {
-	if a.indexDirty {
-		a.rebuildIndex()
-	}
-	if ln := len(a.sorted); ln > 0 && addr < a.prefixMaxEnd[ln-1] {
-		return 0
-	}
-	if !a.cfg.DisableBoundaryExt {
-		for i := 0; i < n; i++ {
-			if _, ok := a.boundaries.get(addr + uint64(i)*uint64(a.cfg.LineBytes)); ok {
-				return 0
-			}
-		}
-	}
-	return n
 }
 
 // runUniform confirms that every line the next extension would add shares

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// replayRuns pushes a run list through an analyzer using the read span
-// classifier (re-entering after each consumed prefix; writes go line by
-// line), while a twin analyzer replays the identical per-line sequence;
-// both must end in identical observable state.
+// replayRuns pushes a run list through an analyzer using ReadRun
+// (re-entering after each consumed prefix; writes go line by line),
+// while a twin analyzer replays the identical per-line sequence; both
+// must end in identical observable state.
 func replayRuns(t *testing.T, runs []run, storeLines int) {
 	t.Helper()
 	span := New(DefaultConfig(), NewArrayVNStore(0, storeLines*64, 64))
@@ -101,8 +101,8 @@ func stream(base uint64, lines, w int, write bool) []run {
 	return out
 }
 
-// TestSpanClassifierEdges drives the edge cases the coalescing must
-// split on: spans straddling tensor boundaries, metadata epochs
+// TestSpanClassifierEdges drives the edge cases a span classification
+// must split on: spans straddling tensor boundaries, metadata epochs
 // (completions), already-flipped bitmap lines (Assert1), and region
 // ends, each against the per-line oracle.
 func TestSpanClassifierEdges(t *testing.T) {

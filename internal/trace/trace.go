@@ -34,9 +34,7 @@ type Stream interface {
 // parity tests and the golden harness pin this equivalence.
 //
 // Generators guarantee a Run never crosses a tensor boundary: every line
-// of a Run belongs to the same tensor, which is what lets downstream
-// span classifiers (tenanalyzer.ReadRun / mee WriteRun) treat it as a
-// candidate uniform span.
+// of a Run belongs to the same tensor.
 type Run struct {
 	Addr    uint64 // first line address
 	Lines   int    // number of lines in the span
