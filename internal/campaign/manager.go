@@ -40,23 +40,27 @@ type Config struct {
 	// Retries is how many times a failed point is retried before it is
 	// marked failed (default 1; attempts = Retries+1).
 	Retries int
-	// RetryDelay spaces retry attempts (default 50ms).
-	RetryDelay time.Duration
 	// Breaker, when set, observes every point attempt and pauses
 	// dispatch while open — a sick backend stops the batch tier from
 	// hammering it, the same degradation path the serving tier takes.
 	Breaker *resilience.Breaker
-	// BreakerPoll is how often a paused dispatcher re-checks an open
-	// breaker (default 100ms).
-	BreakerPoll time.Duration
 	// OnEvent, when set, observes every published event synchronously
 	// (metrics hook).
 	OnEvent func(Event)
-	// MaxJobs bounds tracked campaigns (default 64). At the cap, the
-	// oldest terminal job is evicted to admit a new one; if every
-	// tracked job is still running, submission fails with ErrBusy.
-	MaxJobs int
 }
+
+// Fixed Manager tuning.
+const (
+	// pointRetryDelay spaces retry attempts of a failed point.
+	pointRetryDelay = 50 * time.Millisecond
+	// breakerPollInterval is how often a paused dispatcher re-checks an
+	// open breaker.
+	breakerPollInterval = 100 * time.Millisecond
+	// maxTrackedJobs bounds tracked campaigns. At the cap, the oldest
+	// terminal job is evicted to admit a new one; if every tracked job is
+	// still running, submission fails with ErrBusy.
+	maxTrackedJobs = 64
+)
 
 // State is a campaign's lifecycle state.
 type State string
@@ -303,6 +307,7 @@ type Manager struct {
 	retries     int
 	retryDelay  time.Duration
 	breakerPoll time.Duration
+	maxJobs     int
 	sem         chan struct{}
 
 	baseCtx    context.Context
@@ -326,8 +331,9 @@ func NewManager(cfg Config) *Manager {
 		cfg:         cfg,
 		workers:     cfg.Workers,
 		retries:     cfg.Retries,
-		retryDelay:  cfg.RetryDelay,
-		breakerPoll: cfg.BreakerPoll,
+		retryDelay:  pointRetryDelay,
+		breakerPoll: breakerPollInterval,
+		maxJobs:     maxTrackedJobs,
 		stopCh:      make(chan struct{}),
 		jobs:        make(map[string]*job),
 	}
@@ -336,15 +342,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if m.retries < 0 {
 		m.retries = 0
-	}
-	if m.retryDelay <= 0 {
-		m.retryDelay = 50 * time.Millisecond
-	}
-	if m.breakerPoll <= 0 {
-		m.breakerPoll = 100 * time.Millisecond
-	}
-	if m.cfg.MaxJobs <= 0 {
-		m.cfg.MaxJobs = 64
 	}
 	m.sem = make(chan struct{}, m.workers)
 	m.baseCtx, m.baseCancel = context.WithCancel(context.Background())
@@ -392,7 +389,7 @@ func (m *Manager) start(plan *Plan) (Status, bool, error) {
 // evictForAdmitLocked makes room for one more job, preferring to drop
 // the oldest terminal record. Requires m.mu.
 func (m *Manager) evictForAdmitLocked() error {
-	if len(m.jobs) < m.cfg.MaxJobs {
+	if len(m.jobs) < m.maxJobs {
 		return nil
 	}
 	for i, id := range m.order {
@@ -776,10 +773,9 @@ func (m *Manager) attemptPoint(j *job, idx int) (payload []byte, label string, e
 			case <-time.After(retryBackoff(m.retryDelay, attempt)):
 			}
 		}
-		begin := time.Now()
 		payload, runErr := m.safeRun(spec)
 		if br := m.cfg.Breaker; br != nil {
-			br.Observe(runErr, time.Since(begin), 0)
+			br.Observe(runErr)
 		}
 		if runErr == nil {
 			return payload, label, nil

@@ -151,7 +151,8 @@ func TestPanickingPointFailsOnlyItself(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}
-	m := NewManager(Config{Run: run.run, Workers: 2, Retries: 1, RetryDelay: time.Millisecond})
+	m := NewManager(Config{Run: run.run, Workers: 2, Retries: 1})
+	m.retryDelay = time.Millisecond
 	defer m.Shutdown(context.Background())
 
 	status, _, err := m.Start(gridSpec(4))
@@ -182,7 +183,8 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 		}
 		return []byte("ok"), nil
 	}
-	m := NewManager(Config{Run: run.run, Workers: 1, Retries: 1, RetryDelay: time.Millisecond})
+	m := NewManager(Config{Run: run.run, Workers: 1, Retries: 1})
+	m.retryDelay = time.Millisecond
 	defer m.Shutdown(context.Background())
 
 	status, _, err := m.Start(gridSpec(3))
@@ -408,7 +410,8 @@ func TestOpenBreakerPausesDispatch(t *testing.T) {
 	br.Trip()
 
 	run := newCountingRun()
-	m := NewManager(Config{Run: run.run, Workers: 1, Breaker: br, BreakerPoll: time.Millisecond})
+	m := NewManager(Config{Run: run.run, Workers: 1, Breaker: br})
+	m.breakerPoll = time.Millisecond
 	defer m.Shutdown(context.Background())
 	status, _, err := m.Start(gridSpec(2))
 	if err != nil {
@@ -434,7 +437,8 @@ func TestManagerCapPrefersEvictingTerminalJobs(t *testing.T) {
 		<-gate
 		return []byte("ok"), nil
 	}
-	m := NewManager(Config{Run: run.run, Workers: 2, MaxJobs: 2})
+	m := NewManager(Config{Run: run.run, Workers: 2})
+	m.maxJobs = 2
 	defer m.Shutdown(context.Background())
 
 	mkSpec := func(i int) Spec {
@@ -614,7 +618,8 @@ func TestCancelDuringBreakerPause(t *testing.T) {
 			br.Trip()
 			run := newCountingRun()
 			run.behave = synthBehave(monotoneObjective)
-			m := NewManager(Config{Run: run.run, Measure: synthMeasure, Workers: 1, Breaker: br, BreakerPoll: time.Millisecond})
+			m := NewManager(Config{Run: run.run, Measure: synthMeasure, Workers: 1, Breaker: br})
+			m.breakerPoll = time.Millisecond
 			defer m.Shutdown(context.Background())
 			status, _, err := m.Start(tc.spec)
 			if err != nil {

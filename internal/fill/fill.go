@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"tensortee/internal/resilience"
 )
@@ -34,10 +33,9 @@ type Group[K comparable, V any] struct {
 	// Concurrency bounds fills running at once (0: unbounded); a fill
 	// beyond it queues for a slot.
 	Concurrency int
-	// Breaker, when non-nil, observes every fill: errors, panics and fills
-	// slower than Budget (0: no latency check) count as failures.
+	// Breaker, when non-nil, observes every fill: errors and panics count
+	// as failures.
 	Breaker *resilience.Breaker
-	Budget  time.Duration
 
 	mu      sync.Mutex
 	entries map[K]*entry[V]
@@ -197,10 +195,9 @@ func (g *Group[K, V]) run(ctx context.Context, e *entry[V], sem chan struct{}, f
 		sem <- struct{}{}
 		defer func() { <-sem }()
 	}
-	begin := time.Now()
 	v, err = fill(ctx)
 	if g.Breaker != nil {
-		g.Breaker.Observe(err, time.Since(begin), g.Budget)
+		g.Breaker.Observe(err)
 	}
 }
 

@@ -72,15 +72,6 @@ func WithClock(now func() time.Time) Option {
 	return func(l *Limiter) { l.now = now }
 }
 
-// WithMaxKeys overrides the tracked-key cap.
-func WithMaxKeys(n int) Option {
-	return func(l *Limiter) {
-		if n > 0 {
-			l.maxKeys = n
-		}
-	}
-}
-
 // New builds a Limiter granting each key `rate` requests per second with
 // bursts up to `burst` (burst < 1 is raised to 1: a bucket that can never
 // hold a whole token would reject everything). rate must be positive —

@@ -107,7 +107,8 @@ func TestRetryAfterShrinksAsTokensAccrue(t *testing.T) {
 // succeeds; an active client's bucket survives.
 func TestEvictionPrefersIdleBuckets(t *testing.T) {
 	clock := newFakeClock()
-	l := New(1, 2, WithClock(clock.now), WithMaxKeys(4))
+	l := New(1, 2, WithClock(clock.now))
+	l.maxKeys = 4
 	for i := 0; i < 4; i++ {
 		l.Allow(fmt.Sprintf("idle-%d", i))
 	}
@@ -129,7 +130,8 @@ func TestEvictionPrefersIdleBuckets(t *testing.T) {
 // bucket is idle: the least-recently-touched one goes.
 func TestEvictionFallsBackToOldest(t *testing.T) {
 	clock := newFakeClock()
-	l := New(0.001, 1000, WithClock(clock.now), WithMaxKeys(2)) // effectively never refills
+	l := New(0.001, 1000, WithClock(clock.now)) // effectively never refills
+	l.maxKeys = 2
 	l.Allow("old")
 	clock.advance(time.Second)
 	l.Allow("newer")

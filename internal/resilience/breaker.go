@@ -1,9 +1,8 @@
 // Package resilience holds tensorteed's overload-protection primitives.
 // Its circuit breaker watches the compute fill path: consecutive fill
-// failures (errors, panics degraded to errors, or fills blowing a
-// latency budget) open the breaker, and while it is open the serving
-// layer stops starting new computations and degrades to stale results
-// from the persistent store instead.
+// failures (errors, or panics degraded to errors) open the breaker, and
+// while it is open the serving layer stops starting new computations and
+// degrades to stale results from the persistent store instead.
 package resilience
 
 import (
@@ -102,7 +101,7 @@ func (b *Breaker) Success() {
 	b.mu.Unlock()
 }
 
-// Failure records a failed (or over-budget) fill. Reaching the threshold
+// Failure records a failed fill. Reaching the threshold
 // opens the breaker for a fresh cooldown — including from half-open,
 // where a single failed probe re-opens it (escalating the cooldown when
 // backoff is enabled).
@@ -153,14 +152,10 @@ func (b *Breaker) Trip() {
 	b.reopenLocked()
 }
 
-// Observe records one fill outcome in a single call: failure when err is
-// non-nil or the fill exceeded budget (budget 0 disables the latency
-// check). The elapsed check means a pathologically slow — but ultimately
-// successful — compute still counts against the streak: the point of the
-// breaker is to stop queueing clients behind fills that have stopped
-// being fast, not only behind fills that error.
-func (b *Breaker) Observe(err error, elapsed, budget time.Duration) {
-	if err != nil || (budget > 0 && elapsed > budget) {
+// Observe records one fill outcome in a single call: a failure when err
+// is non-nil, a success otherwise.
+func (b *Breaker) Observe(err error) {
+	if err != nil {
 		b.Failure()
 		return
 	}

@@ -103,25 +103,13 @@ func TestTripForcesOpen(t *testing.T) {
 func TestObserve(t *testing.T) {
 	clock := newFakeClock()
 	b := New(1, time.Minute, WithClock(clock.now))
-	b.Observe(nil, time.Millisecond, time.Second)
+	b.Observe(nil)
 	if b.State() != Closed {
-		t.Fatal("fast success opened the breaker")
+		t.Fatal("success opened the breaker")
 	}
-	b.Observe(errors.New("boom"), time.Millisecond, time.Second)
+	b.Observe(errors.New("boom"))
 	if b.State() != Open {
 		t.Fatal("error did not open the breaker")
-	}
-	b.Success()
-	// A slow success counts as a failure when a budget is set...
-	b.Observe(nil, 2*time.Second, time.Second)
-	if b.State() != Open {
-		t.Fatal("over-budget fill did not open the breaker")
-	}
-	b.Success()
-	// ...and is ignored when the budget is disabled.
-	b.Observe(nil, time.Hour, 0)
-	if b.State() != Closed {
-		t.Fatal("budget 0 still counted latency")
 	}
 }
 

@@ -142,14 +142,18 @@ func resolveMetrics(requested []string, systems int) ([]string, error) {
 // zoo (with optional dimension overrides), custom models get defaults and
 // required-field checks. The returned spec is fully resolved — every
 // dimension explicit — so normalization is idempotent and fingerprints of
-// equivalent specs agree.
+// equivalent specs agree. Fields are checked in declaration order, so a
+// spec with several bad fields always gets the same error.
 func resolveModel(m ModelSpec) (ModelSpec, error) {
-	for f, v := range map[string]int{
-		"layers": m.Layers, "hidden": m.Hidden, "heads": m.Heads,
-		"ffn": m.FFNDim, "vocab": m.Vocab, "batch": m.Batch, "seqlen": m.SeqLen,
+	for _, f := range []struct {
+		name string
+		val  int
+	}{
+		{"layers", m.Layers}, {"hidden", m.Hidden}, {"heads", m.Heads},
+		{"ffn", m.FFNDim}, {"vocab", m.Vocab}, {"batch", m.Batch}, {"seqlen", m.SeqLen},
 	} {
-		if v < 0 {
-			return ModelSpec{}, invalid(nil, "model %s must be positive, got %d", f, v)
+		if f.val < 0 {
+			return ModelSpec{}, invalid(nil, "model %s must be positive, got %d", f.name, f.val)
 		}
 	}
 	if m.Name != "" {
@@ -241,7 +245,9 @@ func resolveSweep(sw *Sweep) ([]float64, error) {
 
 // check validates override field ranges against the base kind. Range
 // errors that would silently invalidate the calibration sample map to
-// ErrUnsafeOverride; the rest are plain ErrInvalidSpec.
+// ErrUnsafeOverride; the rest are plain ErrInvalidSpec. Fields are checked
+// in a fixed order, so a spec with several bad fields always gets the
+// same error.
 func (o *Overrides) check(kind config.SystemKind) error {
 	for _, b := range []struct {
 		name     string
@@ -262,14 +268,17 @@ func (o *Overrides) check(kind config.SystemKind) error {
 	if o.RegionMB < 0 {
 		return invalid(nil, "override region_mb must be positive, got %d", o.RegionMB)
 	}
-	for f, v := range map[string]float64{
-		"npu_bandwidth_gbs": o.NPUBandwidthGBs, "link_gbs": o.LinkGBs, "staging_gbs": o.StagingGBs,
+	for _, b := range []struct {
+		name string
+		val  float64
+	}{
+		{"npu_bandwidth_gbs", o.NPUBandwidthGBs}, {"link_gbs", o.LinkGBs}, {"staging_gbs", o.StagingGBs},
 	} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return invalid(nil, "override %s must be a positive finite number, got %v", f, v)
+		if b.val < 0 || math.IsNaN(b.val) || math.IsInf(b.val, 0) {
+			return invalid(nil, "override %s must be a positive finite number, got %v", b.name, b.val)
 		}
-		if v > maxBandwidthGBs {
-			return invalid(nil, "override %s %g above the %g GB/s simulation bound", f, v, float64(maxBandwidthGBs))
+		if b.val > maxBandwidthGBs {
+			return invalid(nil, "override %s %g above the %g GB/s simulation bound", b.name, b.val, float64(maxBandwidthGBs))
 		}
 	}
 	switch strings.ToLower(strings.TrimSpace(o.MEEMode)) {

@@ -105,6 +105,45 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateErrorIsStable pins that a spec with two bad fields gets
+// the same error on every call, naming the first bad field in
+// declaration order: the error is the 400 body of POST /v1/scenarios and
+// /v1/campaigns.
+func TestValidateErrorIsStable(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+		field  string
+	}{
+		{"two bad bandwidths", func(s *Spec) {
+			s.Systems[0].Overrides = &Overrides{NPUBandwidthGBs: -1, StagingGBs: -3}
+		}, "npu_bandwidth_gbs"},
+		{"two bad model dims", func(s *Spec) { s.Model.Hidden = -1; s.Model.Vocab = -2 }, "hidden"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := minimal()
+			tc.mutate(&spec)
+			messages := make(map[string]int)
+			for i := 0; i < 50; i++ {
+				err := spec.Validate()
+				if err == nil {
+					t.Fatal("Validate accepted an invalid spec")
+				}
+				messages[err.Error()]++
+			}
+			if len(messages) != 1 {
+				t.Fatalf("Validate gave %d different errors: %v", len(messages), messages)
+			}
+			for msg := range messages {
+				if !strings.Contains(msg, tc.field) {
+					t.Errorf("error %q does not name %s", msg, tc.field)
+				}
+			}
+		})
+	}
+}
+
 func TestValidateAccepts(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -218,9 +218,8 @@ var ErrScenarioStoreBusy = errors.New("all scenario computations busy; retry lat
 
 // scenario returns the cached wire representation of a scenario plus the
 // tier that satisfied it, computing the scenario on first request for its
-// fingerprint. Scenario fills feed the circuit breaker (no latency budget
-// — scenario cost varies with the spec): invalid specs were already
-// rejected with 400 before reaching here, so a failing fill is the
+// fingerprint. Scenario fills feed the circuit breaker: invalid specs were
+// already rejected with 400 before reaching here, so a failing fill is the
 // backend's health, not the client's input.
 func (s *Server) scenario(ctx context.Context, fp string, spec tensortee.Scenario, f Format) (*rendered, tier, error) {
 	m, err, ok := s.scenarios.Peek(fp)

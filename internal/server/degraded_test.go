@@ -21,9 +21,8 @@ func TestHealthzAndMetricsReportDegradedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := store.Open(t.TempDir(), store.Options{
-		Faults:           inj,
-		DegradeThreshold: 3,
-		ProbeInterval:    20 * time.Millisecond,
+		Faults:        inj,
+		ProbeInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,9 +44,8 @@ import (
 )
 
 // Defaults for the compute circuit breaker: five consecutive fill
-// failures (errors, panics, or over-budget fills) open it for 30s, during
-// which lookups degrade to stale persisted results instead of starting
-// fills.
+// failures (errors or panics) open it for 30s, during which lookups
+// degrade to stale persisted results instead of starting fills.
 const (
 	defaultBreakerThreshold = 5
 	defaultBreakerCooldown  = 30 * time.Second
@@ -98,10 +97,6 @@ type Config struct {
 	// Breaker overrides the default compute circuit breaker (tests trip
 	// it deliberately; nil builds the default).
 	Breaker *resilience.Breaker
-	// FillBudget marks experiment fills slower than this as breaker
-	// failures even when they succeed. 0 disables the latency check —
-	// cold heavy figures legitimately take tens of seconds.
-	FillBudget time.Duration
 	// CampaignWorkers bounds concurrent campaign point computations
 	// (POST /v1/campaigns); 0 means the campaign manager's default.
 	CampaignWorkers int
@@ -174,7 +169,7 @@ func New(cfg Config) *Server {
 	m.SetCampaignsActive(mgr.Active)
 	s := &Server{
 		runner:         r,
-		results:        fill.Group[string, *memo]{Concurrency: cfg.MaxConcurrent, Breaker: br, Budget: cfg.FillBudget},
+		results:        fill.Group[string, *memo]{Concurrency: cfg.MaxConcurrent, Breaker: br},
 		scenarios:      fill.Group[string, *memo]{Cap: maxScenarioEntries, Concurrency: cfg.MaxConcurrentScenarios, Breaker: br},
 		campaigns:      mgr,
 		metrics:        m,

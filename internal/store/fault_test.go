@@ -99,10 +99,7 @@ func TestInjectedErrnoSurfacesThroughPut(t *testing.T) {
 // degraded, and a successful probe restores normal writes.
 func TestDegradedStateMachine(t *testing.T) {
 	const probeEvery = 30 * time.Millisecond
-	s := openFaulty(t, "write:fail-until@4", Options{
-		DegradeThreshold: 3,
-		ProbeInterval:    probeEvery,
-	})
+	s := openFaulty(t, "write:fail-until@4", Options{ProbeInterval: probeEvery})
 
 	for i := 1; i <= 3; i++ {
 		if err := s.Put(Results, "fig16", []byte("x")); err == nil {
@@ -157,7 +154,7 @@ func TestDegradedStateMachine(t *testing.T) {
 // a disk that stops accepting writes keeps serving everything already
 // on it.
 func TestDegradedStoreStillServesReads(t *testing.T) {
-	s := openFaulty(t, "write:fail-after@1", Options{DegradeThreshold: 3})
+	s := openFaulty(t, "write:fail-after@1", Options{})
 	payload := []byte("written while healthy")
 	if err := s.Put(Results, "fig16", payload); err != nil {
 		t.Fatal(err)
@@ -184,7 +181,8 @@ func TestDegradedStoreStillServesReads(t *testing.T) {
 // TestQuarantineByteCapEvictsOldestFirst fills the quarantine past its
 // budget and asserts the oldest corpses go first.
 func TestQuarantineByteCapEvictsOldestFirst(t *testing.T) {
-	s := open(t, t.TempDir(), Options{QuarantineMaxBytes: 2500})
+	s := open(t, t.TempDir(), Options{})
+	s.quarantineMax = 2500
 	garbage := bytes.Repeat([]byte("g"), 1000)
 	base := time.Now().Add(-time.Hour)
 	if err := os.MkdirAll(filepath.Join(s.Dir(), string(Results)), 0o755); err != nil {

@@ -41,7 +41,7 @@ func newPeerClient(timeout time.Duration) *http.Client {
 // GetOrFetch returns the payload for ns/key from the local disk tier,
 // falling back to the configured peers on miss. Peers whose breaker is
 // open are skipped outright; the rest are probed concurrently under one
-// shared deadline (PeerProbeBudget) and the first validated hit wins —
+// shared deadline (peerProbeBudget) and the first validated hit wins —
 // N dead peers cost one budget, not N serial timeouts. A peer hit is
 // validated exactly like a disk read (envelope, checksum, build tag)
 // and persisted locally before returning, so the next lookup — and the

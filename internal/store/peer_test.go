@@ -104,16 +104,15 @@ func TestGetOrFetchFailsOpenOnDeadSlowAndLyingPeers(t *testing.T) {
 	t.Cleanup(lying.Close)
 
 	// Foreign-build peer: a valid envelope from a different build.
-	foreignStore := open(t, t.TempDir(), Options{BuildTag: "other-build"})
+	foreignStore := open(t, t.TempDir(), Options{})
+	foreignStore.build = "other-build"
 	if err := foreignStore.Put(Results, "fig16", []byte("wrong numbers")); err != nil {
 		t.Fatal(err)
 	}
 	foreign := servePeer(t, foreignStore)
 
-	local := open(t, t.TempDir(), Options{
-		Peers:       []string{dead.URL, slow.URL, lying.URL, foreign.URL},
-		PeerTimeout: 150 * time.Millisecond,
-	})
+	local := open(t, t.TempDir(), Options{Peers: []string{dead.URL, slow.URL, lying.URL, foreign.URL}})
+	local.client = newPeerClient(150 * time.Millisecond)
 	start := time.Now()
 	if _, ok := local.GetOrFetch(context.Background(), Results, "fig16"); ok {
 		t.Fatal("a bad peer produced a hit")
@@ -175,11 +174,9 @@ func TestGetOrFetchProbesConcurrentlyUnderSharedBudget(t *testing.T) {
 		t.Cleanup(hang.Close)
 		peers = append(peers, hang.URL)
 	}
-	local := open(t, t.TempDir(), Options{
-		Peers:           peers,
-		PeerTimeout:     500 * time.Millisecond,
-		PeerProbeBudget: 200 * time.Millisecond,
-	})
+	local := open(t, t.TempDir(), Options{Peers: peers})
+	local.client = newPeerClient(500 * time.Millisecond)
+	local.probeBudget = 200 * time.Millisecond
 	start := time.Now()
 	if _, ok := local.GetOrFetch(context.Background(), Results, "fig16"); ok {
 		t.Fatal("hit from hanging peers")
@@ -207,11 +204,9 @@ func TestGetOrFetchFirstSuccessWins(t *testing.T) {
 	}))
 	t.Cleanup(slow.Close)
 
-	local := open(t, t.TempDir(), Options{
-		Peers:           []string{slow.URL, fast.URL},
-		PeerTimeout:     3 * time.Second,
-		PeerProbeBudget: 3 * time.Second,
-	})
+	local := open(t, t.TempDir(), Options{Peers: []string{slow.URL, fast.URL}})
+	local.client = newPeerClient(3 * time.Second)
+	local.probeBudget = 3 * time.Second
 	start := time.Now()
 	got, ok := local.GetOrFetch(context.Background(), Results, "fig16")
 	if !ok || !bytes.Equal(got, payload) {

@@ -144,6 +144,25 @@ func BuildTag() string {
 	return "dev"
 }
 
+// Fixed tuning of the peer tier, the write-health machine and the
+// quarantine.
+const (
+	// peerTimeout bounds each peer probe. Probes fail open: a slow or
+	// dead peer degrades to a local compute, never an error.
+	peerTimeout = 2 * time.Second
+	// peerProbeBudget bounds the *total* time GetOrFetch spends probing
+	// peers, across all of them. Probes run concurrently under this
+	// shared deadline, so N dead peers cost one budget, not N serial
+	// timeouts.
+	peerProbeBudget = 2 * peerTimeout
+	// degradeThreshold is how many consecutive write failures flip the
+	// store into degraded read-only mode.
+	degradeThreshold = 3
+	// quarantineMaxBytes caps the total size of .quarantine/; past it the
+	// oldest quarantined files are deleted after each new quarantine.
+	quarantineMaxBytes = 128 << 20
+)
+
 // Options configures a Store.
 type Options struct {
 	// MaxBytes bounds the total size of stored entries; past it, the
@@ -153,28 +172,10 @@ type Options struct {
 	// Peers lists base URLs of replica daemons probed on local miss
 	// (GET <peer>/v1/store/{ns}/{key}). Empty disables the peer tier.
 	Peers []string
-	// PeerTimeout bounds each peer probe (default 2s). Probes fail open:
-	// a slow or dead peer degrades to a local compute, never an error.
-	PeerTimeout time.Duration
-	// PeerProbeBudget bounds the *total* time GetOrFetch spends probing
-	// peers, across all of them (default 2× PeerTimeout). Probes run
-	// concurrently under this shared deadline, so N dead peers cost one
-	// budget, not N serial timeouts.
-	PeerProbeBudget time.Duration
-	// BuildTag overrides the build identity stamped into (and required
-	// of) entries. Empty selects BuildTag().
-	BuildTag string
-	// DegradeThreshold is how many consecutive write failures flip the
-	// store into degraded read-only mode (default 3).
-	DegradeThreshold int
 	// ProbeInterval is how often, while degraded, one write is admitted
 	// as a recovery probe (default 15s). A successful probe restores
 	// normal writes.
 	ProbeInterval time.Duration
-	// QuarantineMaxBytes caps the total size of .quarantine/; past it the
-	// oldest quarantined files are deleted after each new quarantine.
-	// 0 selects the 128 MiB default; negative disables the cap.
-	QuarantineMaxBytes int64
 	// Faults, when non-nil, injects deterministic failures into the
 	// store's filesystem operations and peer probes (tests and the chaos
 	// CI job). Nil — the production default — costs one branch per hook.
@@ -218,8 +219,8 @@ type Stats struct {
 	// PeerSkips counts peer probes skipped because the peer's breaker
 	// was open.
 	PeerSkips int64 `json:"peer_skips"`
-	// QuarantineBytes is the current size of .quarantine/ (bounded by
-	// QuarantineMaxBytes).
+	// QuarantineBytes is the current size of .quarantine/ (bounded at
+	// 128 MiB).
 	QuarantineBytes int64 `json:"quarantine_bytes"`
 }
 
@@ -236,7 +237,6 @@ type Store struct {
 	dir           string
 	maxBytes      int64
 	peers         []string
-	timeout       time.Duration
 	probeBudget   time.Duration
 	build         string
 	client        httpDoer
@@ -255,7 +255,6 @@ type Store struct {
 	degraded         bool
 	consecWriteFails int
 	lastProbe        time.Time
-	degradeThreshold int
 	probeInterval    time.Duration
 
 	// peerBreakers holds one circuit breaker per configured peer; open
@@ -285,52 +284,22 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	build := opts.BuildTag
-	if build == "" {
-		build = BuildTag()
-	}
-	// The header is space-separated; a build tag with spaces (or newlines)
-	// would desync parsing.
-	build = strings.Map(func(r rune) rune {
-		if r == ' ' || r == '\n' || r == '\r' || r == '\t' {
-			return '_'
-		}
-		return r
-	}, build)
-	timeout := opts.PeerTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	probeBudget := opts.PeerProbeBudget
-	if probeBudget <= 0 {
-		probeBudget = 2 * timeout
-	}
-	threshold := opts.DegradeThreshold
-	if threshold <= 0 {
-		threshold = 3
-	}
 	probeInterval := opts.ProbeInterval
 	if probeInterval <= 0 {
 		probeInterval = 15 * time.Second
 	}
-	quarantineMax := opts.QuarantineMaxBytes
-	if quarantineMax == 0 {
-		quarantineMax = 128 << 20
-	}
 	s := &Store{
-		dir:              dir,
-		maxBytes:         opts.MaxBytes,
-		peers:            append([]string(nil), opts.Peers...),
-		timeout:          timeout,
-		probeBudget:      probeBudget,
-		build:            build,
-		client:           newPeerClient(timeout),
-		faults:           opts.Faults,
-		quarantineMax:    quarantineMax,
-		degradeThreshold: threshold,
-		probeInterval:    probeInterval,
-		pinned:           make(map[string]int),
-		peerBreakers:     make(map[string]*resilience.Breaker, len(opts.Peers)),
+		dir:           dir,
+		maxBytes:      opts.MaxBytes,
+		peers:         append([]string(nil), opts.Peers...),
+		probeBudget:   peerProbeBudget,
+		build:         BuildTag(),
+		client:        newPeerClient(peerTimeout),
+		faults:        opts.Faults,
+		quarantineMax: quarantineMaxBytes,
+		probeInterval: probeInterval,
+		pinned:        make(map[string]int),
+		peerBreakers:  make(map[string]*resilience.Breaker, len(opts.Peers)),
 	}
 	for _, p := range s.peers {
 		s.peerBreakers[p] = resilience.New(peerBreakerThreshold, peerBreakerCooldown,
@@ -419,26 +388,14 @@ func (s *Store) Get(ns Namespace, key string) ([]byte, bool) {
 	if !validNamespace(ns) || !ValidKey(key) {
 		return nil, false
 	}
-	path := s.entryPath(ns, key)
-	if f := s.faults.Check(faultinject.OpRead); f.Err != nil {
-		s.diskMisses.Add(1)
-		return nil, false
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		s.diskMisses.Add(1)
-		return nil, false
-	}
-	payload, derr := s.decodeEnvelope(ns, key, raw)
-	if derr != nil {
-		if derr.corrupt {
-			s.quarantine(path)
-		}
+	_, payload, ok := s.read(ns, key)
+	if !ok {
 		s.diskMisses.Add(1)
 		return nil, false
 	}
 	s.diskHits.Add(1)
-	_ = os.Chtimes(path, time.Now(), time.Now()) // LRU touch; best-effort
+	now := time.Now()
+	_ = os.Chtimes(s.entryPath(ns, key), now, now) // LRU touch; best-effort
 	return payload, true
 }
 
@@ -450,21 +407,31 @@ func (s *Store) ReadRaw(ns Namespace, key string) ([]byte, bool) {
 	if !validNamespace(ns) || !ValidKey(key) {
 		return nil, false
 	}
-	path := s.entryPath(ns, key)
+	raw, _, ok := s.read(ns, key)
+	return raw, ok
+}
+
+// read is the one read-and-verify path under Get and ReadRaw: the read
+// fault hook, the file read, envelope verification and quarantine of a
+// corrupt entry. It returns the raw envelope and its payload, or
+// ok=false on a miss. ns and key are already validated.
+func (s *Store) read(ns Namespace, key string) (raw, payload []byte, ok bool) {
 	if f := s.faults.Check(faultinject.OpRead); f.Err != nil {
-		return nil, false
+		return nil, nil, false
 	}
+	path := s.entryPath(ns, key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	if _, derr := s.decodeEnvelope(ns, key, raw); derr != nil {
+	payload, derr := s.decodeEnvelope(ns, key, raw)
+	if derr != nil {
 		if derr.corrupt {
 			s.quarantine(path)
 		}
-		return nil, false
+		return nil, nil, false
 	}
-	return raw, true
+	return raw, payload, true
 }
 
 // Put stores payload under ns/key, atomically: the envelope is staged in
@@ -546,7 +513,7 @@ func (s *Store) noteWrite(err error) {
 		return
 	}
 	s.consecWriteFails++
-	if !s.degraded && s.consecWriteFails >= s.degradeThreshold {
+	if !s.degraded && s.consecWriteFails >= degradeThreshold {
 		s.degraded = true
 		s.lastProbe = time.Now()
 	}
@@ -609,12 +576,16 @@ func (s *Store) write(ns Namespace, key string, raw []byte) error {
 }
 
 // quarantine moves a corrupt entry aside (never deleting data that might
-// matter for a post-mortem) and counts it. Best-effort: if the rename
-// loses a race with a concurrent writer replacing the entry, the corrupt
-// bytes are already gone and that is fine too.
+// matter for a post-mortem) and counts it, then trims .quarantine/ to its
+// byte cap oldest-first: on a disk that corrupts steadily, the quarantine
+// holds the freshest evidence instead of growing without bound.
+// Best-effort: if the rename loses a race with a concurrent writer
+// replacing the entry, the corrupt bytes are already gone and that is
+// fine too.
 func (s *Store) quarantine(path string) {
 	s.corruptions.Add(1)
-	dst, err := os.CreateTemp(filepath.Join(s.dir, ".quarantine"), filepath.Base(path)+".*")
+	dir := filepath.Join(s.dir, ".quarantine")
+	dst, err := os.CreateTemp(dir, filepath.Base(path)+".*")
 	if err != nil {
 		return
 	}
@@ -623,66 +594,7 @@ func (s *Store) quarantine(path string) {
 	if err := os.Rename(path, dstName); err != nil {
 		os.Remove(dstName)
 	}
-	s.capQuarantine()
-}
-
-// capQuarantine keeps .quarantine/ under the byte budget by deleting
-// the oldest files (by mtime) first: on a disk that corrupts steadily,
-// the quarantine holds the freshest evidence instead of growing without
-// bound. Best-effort, like quarantine itself.
-func (s *Store) capQuarantine() {
-	if s.quarantineMax < 0 {
-		return
-	}
-	dir := filepath.Join(s.dir, ".quarantine")
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	var files []entryInfo
-	var total int64
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		fi, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, entryInfo{
-			path:  filepath.Join(dir, de.Name()),
-			size:  fi.Size(),
-			mtime: fi.ModTime(),
-		})
-		total += fi.Size()
-	}
-	if total <= s.quarantineMax {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= s.quarantineMax {
-			break
-		}
-		if err := os.Remove(f.path); err == nil {
-			total -= f.size
-		}
-	}
-}
-
-// quarantineBytes is the current size of .quarantine/.
-func (s *Store) quarantineBytes() int64 {
-	des, err := os.ReadDir(filepath.Join(s.dir, ".quarantine"))
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, de := range des {
-		if fi, err := de.Info(); err == nil && !de.IsDir() {
-			total += fi.Size()
-		}
-	}
-	return total
+	trim(listEntries(dir, ""), s.quarantineMax, nil)
 }
 
 // Keys lists the keys currently present under a namespace, sorted. Used
@@ -692,17 +604,9 @@ func (s *Store) Keys(ns Namespace) []string {
 	if !validNamespace(ns) {
 		return nil
 	}
-	des, err := os.ReadDir(filepath.Join(s.dir, string(ns)))
-	if err != nil {
-		return nil
-	}
 	var out []string
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, entryExt) {
-			continue
-		}
-		key := strings.TrimSuffix(name, entryExt)
+	for _, e := range listEntries(filepath.Join(s.dir, string(ns)), entryExt) {
+		key := strings.TrimSuffix(filepath.Base(e.path), entryExt)
 		if ValidKey(key) {
 			out = append(out, key)
 		}
@@ -755,79 +659,91 @@ func (s *Store) pinnedPaths() map[string]bool {
 	return out
 }
 
-// entryInfo is one entry's eviction-relevant metadata.
+// entryInfo is one file's trim-relevant metadata.
 type entryInfo struct {
 	path  string
 	size  int64
 	mtime time.Time
 }
 
-// walkEntries lists all entries across namespaces. Directory-read errors
-// are ignored: a namespace that does not exist yet holds no entries.
-func (s *Store) walkEntries() []entryInfo {
+// listEntries lists the files in dir whose names end in ext. A directory
+// that cannot be read (a namespace not written yet) holds no entries.
+func listEntries(dir, ext string) []entryInfo {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
 	var out []entryInfo
-	for _, ns := range Namespaces() {
-		dir := filepath.Join(s.dir, string(ns))
-		des, err := os.ReadDir(dir)
+	for _, de := range des {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), ext) {
+			continue
+		}
+		fi, err := de.Info()
 		if err != nil {
 			continue
 		}
-		for _, de := range des {
-			if de.IsDir() || !strings.HasSuffix(de.Name(), entryExt) {
-				continue
-			}
-			fi, err := de.Info()
-			if err != nil {
-				continue
-			}
-			out = append(out, entryInfo{
-				path:  filepath.Join(dir, de.Name()),
-				size:  fi.Size(),
-				mtime: fi.ModTime(),
-			})
-		}
+		out = append(out, entryInfo{
+			path:  filepath.Join(dir, de.Name()),
+			size:  fi.Size(),
+			mtime: fi.ModTime(),
+		})
 	}
 	return out
 }
 
+// walkEntries lists all entries across namespaces.
+func (s *Store) walkEntries() []entryInfo {
+	var out []entryInfo
+	for _, ns := range Namespaces() {
+		out = append(out, listEntries(filepath.Join(s.dir, string(ns)), entryExt)...)
+	}
+	return out
+}
+
+// trim deletes files oldest-first (by mtime) until their total size fits
+// budget, and returns how many it deleted. Files whose paths are in last
+// sort after every other file: they go only when deleting everything
+// else still does not fit.
+func trim(files []entryInfo, budget int64, last map[string]bool) int {
+	var total int64
+	for _, f := range files {
+		total += f.size
+	}
+	if total <= budget {
+		return 0
+	}
+	sort.Slice(files, func(i, j int) bool {
+		li, lj := last[files[i].path], last[files[j].path]
+		if li != lj {
+			return lj
+		}
+		return files[i].mtime.Before(files[j].mtime)
+	})
+	removed := 0
+	for _, f := range files {
+		if total <= budget {
+			break
+		}
+		if os.Remove(f.path) == nil {
+			total -= f.size
+			removed++
+		}
+	}
+	return removed
+}
+
 // evict removes least-recently-used entries until the total size fits
 // MaxBytes. The walk recomputes sizes from disk each pass, so totals
-// self-heal across processes sharing the directory.
+// self-heal across processes sharing the directory. Pinned entries
+// (active campaign state) go last: a byte cap cannot silently destroy a
+// running campaign's checkpoints.
 func (s *Store) evict() {
 	if s.maxBytes <= 0 {
 		return
 	}
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	entries := s.walkEntries()
-	var total int64
-	for _, e := range entries {
-		total += e.size
-	}
-	if total <= s.maxBytes {
-		return
-	}
-	// Pinned entries (active campaign state) sort after everything else:
-	// they are only reclaimed when evicting every unpinned entry still
-	// does not fit the budget, so a byte cap cannot silently destroy a
-	// running campaign's checkpoints.
-	pinned := s.pinnedPaths()
-	sort.Slice(entries, func(i, j int) bool {
-		pi, pj := pinned[entries[i].path], pinned[entries[j].path]
-		if pi != pj {
-			return pj
-		}
-		return entries[i].mtime.Before(entries[j].mtime)
-	})
-	for _, e := range entries {
-		if total <= s.maxBytes {
-			break
-		}
-		if err := os.Remove(e.path); err == nil {
-			total -= e.size
-			s.evictions.Add(1)
-		}
-	}
+	s.evictions.Add(int64(trim(s.walkEntries(), s.maxBytes, s.pinnedPaths())))
 }
 
 // Stats snapshots the counters and the on-disk footprint.
@@ -845,7 +761,9 @@ func (s *Store) Stats() Stats {
 		WritesSuppressed: s.writesSuppressed.Load(),
 		Evictions:        s.evictions.Load(),
 		Degraded:         s.Degraded(),
-		QuarantineBytes:  s.quarantineBytes(),
+	}
+	for _, f := range listEntries(filepath.Join(s.dir, ".quarantine"), "") {
+		st.QuarantineBytes += f.size
 	}
 	for _, e := range s.walkEntries() {
 		st.Entries++

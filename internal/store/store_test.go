@@ -427,3 +427,129 @@ func TestPutRejectsOversizedPayload(t *testing.T) {
 		t.Errorf("write errors = %d, want 1", st.WriteErrors)
 	}
 }
+
+// TestScriptedRoundTripCorruptEvict drives one store through every read,
+// quarantine and trim path in a fixed script — Put, Get and ReadRaw,
+// invalid keys, a corrupt entry read through each path, the quarantine
+// byte cap and MaxBytes eviction with one pinned entry — and pins every
+// Stats counter and exactly which files survive.
+func TestScriptedRoundTripCorruptEvict(t *testing.T) {
+	payload := bytes.Repeat([]byte("p"), 100)
+	garbage := bytes.Repeat([]byte("g"), 1000)
+	// Every entry key is two bytes in one namespace, so every envelope
+	// has the same size.
+	size := int64(len(open(t, t.TempDir(), Options{}).encodeEnvelope(Results, "e1", payload)))
+
+	dir := t.TempDir()
+	s := open(t, dir, Options{MaxBytes: 3*size + size/2})
+	s.quarantineMax = 1500
+	base := time.Now().Add(-time.Hour)
+	stamp := func(key string, offset time.Duration) {
+		t.Helper()
+		mt := base.Add(offset)
+		if err := os.Chtimes(s.entryPath(Results, key), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Two writes, then a hit, a miss and the uncounted ReadRaw paths.
+	for i, key := range []string{"e1", "e2"} {
+		if err := s.Put(Results, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		stamp(key, time.Duration(i)*time.Minute)
+	}
+	if got, ok := s.Get(Results, "e1"); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get(e1) = %q, %v", got, ok)
+	}
+	if _, ok := s.Get(Results, "zz"); ok {
+		t.Fatal("hit on a never-written key")
+	}
+	raw, ok := s.ReadRaw(Results, "e2")
+	onDisk, err := os.ReadFile(s.entryPath(Results, "e2"))
+	if err != nil || !ok || !bytes.Equal(raw, onDisk) {
+		t.Fatalf("ReadRaw(e2) = %d bytes, %v; want the %d on-disk bytes (%v)", len(raw), ok, len(onDisk), err)
+	}
+	if _, ok := s.ReadRaw(Results, "zz"); ok {
+		t.Fatal("ReadRaw hit on a never-written key")
+	}
+
+	// Invalid keys and namespaces count as nothing on any path.
+	if _, ok := s.Get(Results, "../e1"); ok {
+		t.Fatal("Get hit on a traversal key")
+	}
+	if _, ok := s.ReadRaw(Results, "../e1"); ok {
+		t.Fatal("ReadRaw hit on a traversal key")
+	}
+	if _, ok := s.Get(Namespace("bogus"), "e1"); ok {
+		t.Fatal("Get hit in an unknown namespace")
+	}
+	if err := s.Put(Results, "a/b", payload); err == nil {
+		t.Fatal("Put accepted an invalid key")
+	}
+
+	// A corrupt entry read through ReadRaw is quarantined without a miss;
+	// a second one read through Get is quarantined and counted a miss, and
+	// the cap (room for one corpse) deletes the older corpse.
+	for i, key := range []string{"c1", "c2"} {
+		if err := os.WriteFile(s.entryPath(Results, key), garbage, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stamp(key, time.Duration(2+i)*time.Minute)
+	}
+	if _, ok := s.ReadRaw(Results, "c1"); ok {
+		t.Fatal("ReadRaw served a corrupt entry")
+	}
+	if _, ok := s.Get(Results, "c2"); ok {
+		t.Fatal("Get served a corrupt entry")
+	}
+
+	// Eviction: e2 is the stalest entry (the Get above touched e1) but
+	// pinned, so the trim falls on e3, the oldest unpinned one.
+	s.Pin(Results, "e2")
+	if err := s.Put(Results, "e3", payload); err != nil {
+		t.Fatal(err)
+	}
+	stamp("e3", 4*time.Minute)
+	if err := s.Put(Results, "e4", payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(Results, "e3"); ok {
+		t.Fatal("the oldest unpinned entry survived eviction")
+	}
+	if _, ok := s.Get(Results, "e2"); !ok {
+		t.Fatal("the pinned entry was evicted")
+	}
+
+	want := Stats{
+		DiskHits:        2,
+		DiskMisses:      3,
+		Corruptions:     2,
+		Writes:          4,
+		Evictions:       1,
+		Entries:         3,
+		Bytes:           3 * size,
+		Pinned:          1,
+		QuarantineBytes: int64(len(garbage)),
+	}
+	if got := s.Stats(); got != want {
+		t.Errorf("Stats =\n %+v\nwant\n %+v", got, want)
+	}
+	if got := s.Keys(Results); strings.Join(got, ",") != "e1,e2,e4" {
+		t.Errorf("surviving entries = %v, want [e1 e2 e4]", got)
+	}
+	corpses, err := os.ReadDir(filepath.Join(dir, ".quarantine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corpses) != 1 || !strings.HasPrefix(corpses[0].Name(), "c2.tte.") {
+		var names []string
+		for _, de := range corpses {
+			names = append(names, de.Name())
+		}
+		t.Errorf("quarantine holds %v, want only the c2 corpse", names)
+	}
+	if staged, _ := os.ReadDir(filepath.Join(dir, ".tmp")); len(staged) != 0 {
+		t.Errorf("%d staging files left behind", len(staged))
+	}
+}

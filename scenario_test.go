@@ -144,3 +144,54 @@ func TestScenarioSharesCalibration(t *testing.T) {
 		t.Errorf("cache entries after override run = %d, want 2", n)
 	}
 }
+
+// TestKnobsNeverSlowAStep is a metamorphic check where the model
+// guarantees a direction: more NPU AES engines, more link or staging
+// bandwidth, or more host DRAM channels never make a training step
+// slower, on any of the three systems.
+func TestKnobsNeverSlowAStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates a system per DRAM channel count")
+	}
+	if raceEnabled {
+		t.Skip("heavy under the race detector; the non-race CI job covers it")
+	}
+	sweeps := []ScenarioSweep{
+		{Axis: "npu_aes_engines", Values: []float64{1, 4, 16}},
+		{Axis: "link_gbs", Values: []float64{4, 16, 64}},
+		{Axis: "staging_gbs", Values: []float64{4, 12, 32}},
+		{Axis: "dram_channels", Values: []float64{1, 2, 8}},
+	}
+	for _, sw := range sweeps {
+		t.Run(sw.Axis, func(t *testing.T) {
+			res, err := goldenRunner.RunScenario(context.Background(), Scenario{
+				Model:   ScenarioModel{Name: "GPT2-M"},
+				Systems: []ScenarioSystem{{Kind: "non-secure"}, {Kind: "sgx-mgx"}, {Kind: "tensortee"}},
+				Sweep:   &sw,
+				Metrics: []string{"total"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rows: (point, model, system, total), points in sweep order.
+			totals := make(map[string][]float64)
+			for _, row := range res.Tables[0].Rows {
+				totals[row[2].Text] = append(totals[row[2].Text], row[3].Number)
+			}
+			if len(totals) != 3 {
+				t.Fatalf("got totals for %d systems, want 3", len(totals))
+			}
+			for system, ts := range totals {
+				if len(ts) != len(sw.Values) {
+					t.Fatalf("%s: %d points, want %d", system, len(ts), len(sw.Values))
+				}
+				for i := 1; i < len(ts); i++ {
+					if ts[i] > ts[i-1] {
+						t.Errorf("%s: total rose from %v at %s=%v to %v at %v",
+							system, ts[i-1], sw.Axis, sw.Values[i-1], ts[i], sw.Values[i])
+					}
+				}
+			}
+		})
+	}
+}
