@@ -197,17 +197,14 @@ func (p *Plan) Point(i int) (scenario.Spec, string, error) {
 		return scenario.Spec{}, "", fmt.Errorf("campaign: point %d out of range [0,%d)", i, p.Total)
 	}
 	spec := p.Spec.Base
-	parts := make([]string, len(p.Spec.Axes))
 	for a, ax := range p.Spec.Axes {
-		v := ax.Values[(i/p.strides[a])%len(ax.Values)]
 		var err error
-		spec, err = scenario.ApplyAxis(spec, ax.Axis, v)
+		spec, err = scenario.ApplyAxis(spec, ax.Axis, ax.Values[(i/p.strides[a])%len(ax.Values)])
 		if err != nil {
 			return scenario.Spec{}, "", fmt.Errorf("%w: axis %q: %w", ErrInvalidSpec, ax.Axis, err)
 		}
-		parts[a] = fmt.Sprintf("%s=%g", ax.Axis, v)
 	}
-	label := strings.Join(parts, ",")
+	label := p.PointLabel(i)
 	spec.Name = fmt.Sprintf("%s[%s]", p.Spec.Name, label)
 	return spec, label, nil
 }

@@ -81,6 +81,24 @@ func TestCompileCrossProduct(t *testing.T) {
 	if again.ID != plan.ID {
 		t.Fatalf("normalized specs hash differently: %q vs %q", again.ID, plan.ID)
 	}
+
+	// A one-axis campaign over an override knob keeps its exact id (stored
+	// campaigns resume by id) and its %g point labels.
+	base := tinyBase()
+	base.Systems = []scenario.SystemSpec{{Kind: "sgx-mgx", Overrides: &scenario.Overrides{LinkGBs: 12.5, MACGranBytes: 64}}}
+	one, err := Compile(Spec{Name: "mac", Base: base, Axes: []Axis{{Axis: "Mac_Gran_Bytes", Values: []float64{64, 1048576}}}})
+	if err != nil {
+		t.Fatalf("Compile one-axis: %v", err)
+	}
+	if want := "9e50ae6080ad1c3a1dbb1d02cb067077"; one.ID != want {
+		t.Errorf("one-axis id = %s, want %s", one.ID, want)
+	}
+	for i, want := range []string{"mac_gran_bytes=64", "mac_gran_bytes=1.048576e+06"} {
+		spec, label, err := one.Point(i)
+		if err != nil || label != want || one.PointLabel(i) != want || spec.Name != "mac["+want+"]" {
+			t.Errorf("one-axis point %d = %q, %q, %v; want label %q", i, spec.Name, label, err, want)
+		}
+	}
 }
 
 func TestCompileRejects(t *testing.T) {

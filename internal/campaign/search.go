@@ -22,6 +22,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"tensortee/internal/scenario"
 )
 
 // Search modes for SearchSpec.Mode.
@@ -82,30 +84,12 @@ type CostSpec struct {
 	Weights map[string]float64 `json:"weights,omitempty"`
 }
 
-// defaultCostWeights is the built-in area proxy over the Table-1 knobs,
-// in units of "KB of on-die SRAM equivalents" per axis unit: the
-// metadata cache is literally SRAM (weight 1 per KB), an AES engine is
-// a fixed pipeline (Section 3.3 sizes one at ~8 GB/s; 16 SRAM-KB
-// equivalents), a DRAM channel is a PHY plus controller (64), and the
-// bandwidth/granularity knobs get small nominal weights so that, absent
-// explicit weights, cheaper always means "less hardware". Model axes
-// (layers, hidden, ...) describe the workload, not the hardware, and
-// default to zero cost.
-var defaultCostWeights = map[string]float64{
-	"meta_cache_kb":     1,
-	"npu_aes_engines":   16,
-	"dram_channels":     64,
-	"npu_bandwidth_gbs": 0.5,
-	"link_gbs":          0.5,
-	"staging_gbs":       0.5,
-	"mac_gran_bytes":    0.05,
-	"region_mb":         0.01,
-}
-
-// DefaultCostWeight returns the built-in area-proxy weight for an axis
-// (0 for model axes, which shape the workload rather than the hardware).
+// DefaultCostWeight returns the built-in area-proxy weight for an axis,
+// in KB of on-die SRAM equivalents per axis unit, from the scenario
+// engine's knob table (0 for model axes, which shape the workload rather
+// than the hardware).
 func DefaultCostWeight(axis string) float64 {
-	return defaultCostWeights[axis]
+	return scenario.CostWeight(axis)
 }
 
 // Measurement is what one evaluated point reports back to the search:

@@ -33,11 +33,10 @@ import (
 
 // LinkModel charges transfer times.
 type LinkModel struct {
-	// LinkBs is the PCIe effective bandwidth for direct DMA.
-	LinkBs float64
-	// StagedBs is the effective bandwidth of a staged copy (pinned-buffer
-	// memcpy pipeline) — what non-secure cudaMemcpy-style transfers and the
-	// baseline's staging hops achieve.
+	// StagedBs is the wire rate of every transfer: the effective bandwidth
+	// of a staged copy (pinned-buffer memcpy pipeline) — what non-secure
+	// cudaMemcpy-style transfers and the baseline's staging hops achieve —
+	// capped by the PCIe link bandwidth.
 	StagedBs float64
 	// LatencyNs is the one-way link latency.
 	LatencyNs float64
@@ -47,6 +46,7 @@ type LinkModel struct {
 }
 
 // FromSystem derives the link model from the system configuration. The
+// wire runs at the staged-copy rate unless the PCIe link is slower. The
 // staged protocol's sender passes go through the single communication-path
 // AES engine (8 GB/s nominal, Section 3.3); its MAC verification/generation
 // shares the engine datapath, halving the effective payload rate. The host
@@ -54,8 +54,7 @@ type LinkModel struct {
 func FromSystem(c *config.Config) LinkModel {
 	npuAES := c.NPU.AESEngineBs * float64(c.NPU.AESEngines)
 	return LinkModel{
-		LinkBs:        c.Comm.LinkBandwidthBs,
-		StagedBs:      c.Comm.StagingBandwidthBs,
+		StagedBs:      min(c.Comm.StagingBandwidthBs, c.Comm.LinkBandwidthBs),
 		LatencyNs:     c.Comm.LinkLatencyNs,
 		SenderAESBs:   npuAES / 2,
 		ReceiverAESBs: npuAES,

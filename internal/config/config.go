@@ -108,7 +108,8 @@ type HostDRAM struct {
 
 // Comm describes the CPU<->NPU interconnect (Table 1: PCIe 4.0 x16).
 type Comm struct {
-	// LinkBandwidthBs is the effective PCIe bandwidth in bytes/second.
+	// LinkBandwidthBs is the effective PCIe bandwidth in bytes/second; it
+	// caps the staged-copy rate every transfer crosses the wire at.
 	LinkBandwidthBs float64
 	// LinkLatencyNs is the one-way latency in nanoseconds.
 	LinkLatencyNs float64

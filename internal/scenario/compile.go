@@ -80,12 +80,8 @@ func Compile(s Spec) (*Plan, error) {
 	}
 	norm.Model = model
 
-	sweepPoints, err := resolveSweep(s.Sweep)
-	if err != nil {
+	if norm.Sweep, err = resolveSweep(s.Sweep); err != nil {
 		return nil, err
-	}
-	if s.Sweep != nil {
-		norm.Sweep = &Sweep{Axis: strings.ToLower(strings.TrimSpace(s.Sweep.Axis)), Values: sweepPoints}
 	}
 
 	plan := &Plan{Spec: norm, Metrics: metrics}
@@ -145,82 +141,43 @@ func resolveMetrics(requested []string, systems int) ([]string, error) {
 // equivalent specs agree. Fields are checked in declaration order, so a
 // spec with several bad fields always gets the same error.
 func resolveModel(m ModelSpec) (ModelSpec, error) {
-	for _, f := range []struct {
-		name string
-		val  int
-	}{
-		{"layers", m.Layers}, {"hidden", m.Hidden}, {"heads", m.Heads},
-		{"ffn", m.FFNDim}, {"vocab", m.Vocab}, {"batch", m.Batch}, {"seqlen", m.SeqLen},
-	} {
-		if f.val < 0 {
-			return ModelSpec{}, invalid(nil, "model %s must be positive, got %d", f.name, f.val)
+	for _, d := range dims {
+		if v := *d.field(&m); v < 0 {
+			return ModelSpec{}, invalid(nil, "model %s must be positive, got %d", d.name, v)
 		}
 	}
+	base := ModelSpec{FFNDim: 4 * m.Hidden, Vocab: 50257, Batch: 1, SeqLen: 1024} // custom-model defaults
 	if m.Name != "" {
 		zoo, err := workload.ModelByName(m.Name)
 		if err != nil {
 			return ModelSpec{}, invalid(ErrUnknownModel, "%q (see tensorteesim -models)", m.Name)
 		}
-		base := ModelSpec{
+		base = ModelSpec{
 			Name: zoo.Name, Layers: zoo.Layers, Hidden: zoo.Hidden, Heads: zoo.Heads,
 			FFNDim: zoo.FFNDim, Vocab: zoo.Vocab, Batch: zoo.BatchSize, SeqLen: zoo.SeqLen,
 		}
-		overlay(&base, m)
-		return base, nil
-	}
-	if m.Layers == 0 || m.Hidden == 0 || m.Heads == 0 {
+	} else if m.Layers == 0 || m.Hidden == 0 || m.Heads == 0 {
 		return ModelSpec{}, invalid(nil, "custom model needs layers, hidden and heads (got %d/%d/%d)", m.Layers, m.Hidden, m.Heads)
 	}
-	if m.FFNDim == 0 {
-		m.FFNDim = 4 * m.Hidden
+	// Non-zero dimensions of m override the base.
+	for _, d := range dims {
+		if v := *d.field(&m); v != 0 {
+			*d.field(&base) = v
+		}
 	}
-	if m.Vocab == 0 {
-		m.Vocab = 50257
-	}
-	if m.Batch == 0 {
-		m.Batch = 1
-	}
-	if m.SeqLen == 0 {
-		m.SeqLen = 1024
-	}
-	return m, nil
+	return base, nil
 }
 
-// overlay applies non-zero dimension fields of src over dst.
-func overlay(dst *ModelSpec, src ModelSpec) {
-	if src.Layers != 0 {
-		dst.Layers = src.Layers
-	}
-	if src.Hidden != 0 {
-		dst.Hidden = src.Hidden
-	}
-	if src.Heads != 0 {
-		dst.Heads = src.Heads
-	}
-	if src.FFNDim != 0 {
-		dst.FFNDim = src.FFNDim
-	}
-	if src.Vocab != 0 {
-		dst.Vocab = src.Vocab
-	}
-	if src.Batch != 0 {
-		dst.Batch = src.Batch
-	}
-	if src.SeqLen != 0 {
-		dst.SeqLen = src.SeqLen
-	}
-}
-
-// resolveSweep validates the sweep shape (axis and value bounds); the
-// per-point semantic checks happen at compilePoint.
-func resolveSweep(sw *Sweep) ([]float64, error) {
+// resolveSweep validates the sweep shape (axis and value bounds) and
+// returns it with the canonical axis spelling; the per-point semantic
+// checks happen at compilePoint.
+func resolveSweep(sw *Sweep) (*Sweep, error) {
 	if sw == nil {
 		return nil, nil
 	}
 	axis := strings.ToLower(strings.TrimSpace(sw.Axis))
-	_, isModel := modelAxes[axis]
-	ov, isOverride := overrideAxes[axis]
-	if !isModel && !isOverride {
+	d, k := lookupAxis(axis)
+	if d == nil && k == nil {
 		return nil, invalid(ErrBadSweep, "unknown axis %q (want one of %s)", sw.Axis, strings.Join(SweepAxes(), ", "))
 	}
 	if len(sw.Values) == 0 {
@@ -229,7 +186,7 @@ func resolveSweep(sw *Sweep) ([]float64, error) {
 	if len(sw.Values) > maxSweepPoints {
 		return nil, invalid(ErrBadSweep, "axis %q has %d values, max %d", axis, len(sw.Values), maxSweepPoints)
 	}
-	integral := isModel || ov.integral
+	integral := d != nil || k.integral()
 	out := make([]float64, len(sw.Values))
 	for i, v := range sw.Values {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
@@ -240,45 +197,33 @@ func resolveSweep(sw *Sweep) ([]float64, error) {
 		}
 		out[i] = v
 	}
-	return out, nil
+	return &Sweep{Axis: axis, Values: out}, nil
 }
 
 // check validates override field ranges against the base kind. Range
 // errors that would silently invalidate the calibration sample map to
-// ErrUnsafeOverride; the rest are plain ErrInvalidSpec. Fields are checked
-// in a fixed order, so a spec with several bad fields always gets the
-// same error.
+// ErrUnsafeOverride; the rest are plain ErrInvalidSpec. Knobs are checked
+// in field-declaration order, so a spec with several bad fields always
+// gets the same error.
 func (o *Overrides) check(kind config.SystemKind) error {
-	for _, b := range []struct {
-		name     string
-		val, max int
-	}{
-		{"meta_cache_kb", o.MetaCacheKB, maxMetaCacheKB},
-		{"dram_channels", o.DRAMChannels, maxDRAMChannels},
-		{"npu_aes_engines", o.NPUAESEngines, maxAESEngines},
-		{"mac_gran_bytes", o.MACGranBytes, maxMACGranBytes},
-	} {
-		if b.val < 0 {
-			return invalid(nil, "override %s must be positive, got %d", b.name, b.val)
+	for i := range knobs {
+		k := &knobs[i]
+		if k.integral() {
+			v := *k.intField(o)
+			if v < 0 {
+				return invalid(nil, "override %s must be positive, got %d", k.name, v)
+			}
+			if float64(v) > k.max {
+				return invalid(nil, "override %s %d above the %d simulation bound", k.name, v, int(k.max))
+			}
+			continue
 		}
-		if b.val > b.max {
-			return invalid(nil, "override %s %d above the %d simulation bound", b.name, b.val, b.max)
+		v := *k.gbsField(o)
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return invalid(nil, "override %s must be a positive finite number, got %v", k.name, v)
 		}
-	}
-	if o.RegionMB < 0 {
-		return invalid(nil, "override region_mb must be positive, got %d", o.RegionMB)
-	}
-	for _, b := range []struct {
-		name string
-		val  float64
-	}{
-		{"npu_bandwidth_gbs", o.NPUBandwidthGBs}, {"link_gbs", o.LinkGBs}, {"staging_gbs", o.StagingGBs},
-	} {
-		if b.val < 0 || math.IsNaN(b.val) || math.IsInf(b.val, 0) {
-			return invalid(nil, "override %s must be a positive finite number, got %v", b.name, b.val)
-		}
-		if b.val > maxBandwidthGBs {
-			return invalid(nil, "override %s %g above the %g GB/s simulation bound", b.name, b.val, float64(maxBandwidthGBs))
+		if v > k.max {
+			return invalid(nil, "override %s %g above the %g GB/s simulation bound", k.name, v, k.max)
 		}
 	}
 	switch strings.ToLower(strings.TrimSpace(o.MEEMode)) {
@@ -310,10 +255,10 @@ func (o *Overrides) check(kind config.SystemKind) error {
 }
 
 // normalize canonicalizes an override set against the kind's Table-1
-// defaults: fields that restate the default are zeroed (so a spec
-// spelling out "meta_cache_kb": 32 fingerprints — and labels — the same
-// as one omitting it), and an override set with nothing left collapses to
-// nil. The returned value is a copy; the input is not mutated.
+// defaults: knobs that restate the default are zeroed (so a spec spelling
+// out a default fingerprints — and labels — the same as one omitting it),
+// and an override set with nothing left collapses to nil. The returned
+// value is a copy; the input is not mutated.
 func (o *Overrides) normalize(kind config.SystemKind) *Overrides {
 	def := config.Default(kind)
 	n := *o
@@ -328,28 +273,11 @@ func (o *Overrides) normalize(kind config.SystemKind) *Overrides {
 	if n.MEEMode == defMode {
 		n.MEEMode = ""
 	}
-	if n.MetaCacheKB == def.CPU.MetaCacheSize>>10 {
-		n.MetaCacheKB = 0
+	for i := range knobs {
+		if k := &knobs[i]; k.get(&n) == k.def {
+			k.set(&n, 0)
+		}
 	}
-	if n.DRAMChannels == def.HostDRAM.Channels {
-		n.DRAMChannels = 0
-	}
-	if n.NPUAESEngines == def.NPU.AESEngines {
-		n.NPUAESEngines = 0
-	}
-	if n.NPUBandwidthGBs == def.NPU.DRAMBandwidthBs/1e9 {
-		n.NPUBandwidthGBs = 0
-	}
-	if n.LinkGBs == def.Comm.LinkBandwidthBs/1e9 {
-		n.LinkGBs = 0
-	}
-	if n.StagingGBs == def.Comm.StagingBandwidthBs/1e9 {
-		n.StagingGBs = 0
-	}
-	if n.MACGranBytes == def.Protection.MACGranBytes {
-		n.MACGranBytes = 0
-	}
-	// ProtectedBytes has no non-zero default, so RegionMB passes through.
 	if n == (Overrides{}) {
 		return nil
 	}
@@ -367,77 +295,59 @@ func (o *Overrides) apply(cfg *config.Config) {
 	case "tensor":
 		cfg.Protection.TensorWiseCPU = true
 	}
-	if o.MetaCacheKB > 0 {
-		cfg.CPU.MetaCacheSize = o.MetaCacheKB << 10
-	}
-	if o.DRAMChannels > 0 {
-		cfg.HostDRAM.Channels = o.DRAMChannels
-	}
-	if o.NPUAESEngines > 0 {
-		cfg.NPU.AESEngines = o.NPUAESEngines
-	}
-	if o.NPUBandwidthGBs > 0 {
-		cfg.NPU.DRAMBandwidthBs = o.NPUBandwidthGBs * 1e9
-	}
-	if o.LinkGBs > 0 {
-		cfg.Comm.LinkBandwidthBs = o.LinkGBs * 1e9
-	}
-	if o.StagingGBs > 0 {
-		cfg.Comm.StagingBandwidthBs = o.StagingGBs * 1e9
-	}
-	if o.MACGranBytes > 0 {
-		cfg.Protection.MACGranBytes = o.MACGranBytes
-	}
-	if o.RegionMB > 0 {
-		cfg.CPU.ProtectedBytes = int64(o.RegionMB) << 20
+	for i := range knobs {
+		if v := knobs[i].get(o); v > 0 {
+			knobs[i].write(cfg, v)
+		}
 	}
 }
 
 // compilePoint resolves one sweep point into a workload model and one
-// validated configuration per system.
+// validated configuration per system. A swept value is applied with
+// ApplyAxis, as a campaign applies its point values, and a swept override
+// is range-checked like the system's own.
 func compilePoint(norm Spec, kinds []config.SystemKind, value float64) (Point, error) {
-	ms := norm.Model
-	axisOverride := Overrides{}
-	label := ms.Name
-	if label == "" {
-		label = fmt.Sprintf("custom-%dL-%dh", ms.Layers, ms.Hidden)
-	}
+	spec, label := norm, ""
 	if norm.Sweep != nil {
-		axis := norm.Sweep.Axis
-		label = fmt.Sprintf("%s=%g", axis, value)
-		if set, ok := modelAxes[axis]; ok {
-			set(&ms, int(value))
-		} else {
-			overrideAxes[axis].set(&axisOverride, value)
-			if err := axisOverride.check(0); err != nil { // kind-independent range checks
+		label = fmt.Sprintf("%s=%g", norm.Sweep.Axis, value)
+		var err error
+		if spec, err = ApplyAxis(norm, norm.Sweep.Axis, value); err != nil {
+			return Point{}, err
+		}
+		for i, sys := range spec.Systems {
+			if sys.Overrides == nil {
+				continue
+			}
+			if err := sys.Overrides.check(kinds[i]); err != nil {
 				return Point{}, err
 			}
 		}
 	}
 
-	m, err := buildModel(ms)
+	m, err := buildModel(spec.Model)
 	if err != nil {
 		return Point{}, err
 	}
+	if label == "" {
+		label = m.Name
+	}
 
-	p := Point{Label: label, Model: m}
-	for i, sys := range norm.Systems {
-		cfg := config.Default(kinds[i])
-		sys.Overrides.apply(&cfg)
-		axisOverride.apply(&cfg)
+	p := Point{Label: label, Model: m, Configs: make([]config.Config, len(spec.Systems))}
+	for i, sys := range spec.Systems {
+		cfg := &p.Configs[i]
+		*cfg = config.Default(kinds[i])
+		sys.Overrides.apply(cfg)
 		if err := cfg.Validate(); err != nil {
 			return Point{}, invalid(nil, "system %s at %s: %v", kindLabel(kinds[i]), label, err)
 		}
-		p.Configs = append(p.Configs, cfg)
 	}
 	return p, nil
 }
 
 // Resource bounds. Scenarios run arbitrary user input through an
 // unauthenticated HTTP endpoint, so every dimension that scales the
-// simulation's memory or time is capped — generously beyond the Table-2
-// zoo (whose largest entries sit around 48 layers / 4096 hidden / 256k
-// vocab), but far below anything that could wedge a worker.
+// simulation's memory or time is capped: these here, and each model
+// dimension and override knob at its dims or knobs entry.
 const (
 	maxSystems     = 16
 	maxSweepPoints = 64
@@ -448,45 +358,18 @@ const (
 	// per-axis maxima into 64x16 = 1024 calibrations (~17 min) that
 	// monopolize a scenario slot for the duration.
 	maxPointSystems = 256
-	maxLayers       = 10_000
-	maxHidden       = 1 << 18 // 262144
-	maxHeads        = 4096
-	maxFFN          = 1 << 21
-	maxVocab        = 4_000_000
-	maxBatch        = 65_536
-	maxSeqLen       = 1 << 20
-
-	// Override caps. The integer knobs drive real per-system allocations
-	// (the metadata-cache slab scales with meta_cache_kb, the DRAM model
-	// allocates per-channel bank state), so unbounded values would let one
-	// POST /v1/scenarios allocate arbitrary daemon memory — and
-	// meta_cache_kb values near 2^53 would overflow the <<10 shift into a
-	// zero or negative cache size. Bandwidths are rates, not allocations,
-	// but are capped anyway so scaled configs stay finite.
-	maxMetaCacheKB  = 1 << 18 // 256 MB metadata cache, 8192x Table 1
-	maxDRAMChannels = 64
-	maxAESEngines   = 1024
-	maxMACGranBytes = 1 << 20
-	maxBandwidthGBs = 1e6 // 1 PB/s
 )
 
 // checkDims bounds a fully-resolved model shape. It runs per sweep point,
-// so swept dimensions are bounded too.
+// so swept dimensions are bounded too, including a swept value too large
+// for an int, which converts to a negative one on amd64.
 func checkDims(ms ModelSpec) error {
-	for _, d := range []struct {
-		name     string
-		val, max int
-	}{
-		{"layers", ms.Layers, maxLayers},
-		{"hidden", ms.Hidden, maxHidden},
-		{"heads", ms.Heads, maxHeads},
-		{"ffn", ms.FFNDim, maxFFN},
-		{"vocab", ms.Vocab, maxVocab},
-		{"batch", ms.Batch, maxBatch},
-		{"seqlen", ms.SeqLen, maxSeqLen},
-	} {
-		if d.val > d.max {
-			return invalid(nil, "model %s %d above the %d simulation bound", d.name, d.val, d.max)
+	for _, d := range dims {
+		switch v := *d.field(&ms); {
+		case v < 1:
+			return invalid(nil, "model %s must be positive, got %d", d.name, v)
+		case v > d.max:
+			return invalid(nil, "model %s %d above the %d simulation bound", d.name, v, d.max)
 		}
 	}
 	return nil
@@ -527,25 +410,19 @@ func buildModel(ms ModelSpec) (workload.Model, error) {
 // systemLabel renders one system column label: the kind plus any
 // overridden fields, so two entries of the same kind stay tellable apart.
 func systemLabel(sys SystemSpec, kind config.SystemKind) string {
-	if sys.Overrides == nil {
+	o := sys.Overrides
+	if o == nil {
 		return kindLabel(kind)
 	}
 	var parts []string
-	o := sys.Overrides
-	add := func(f string, v any, set bool) {
-		if set {
-			parts = append(parts, fmt.Sprintf("%s=%v", f, v))
+	if o.MEEMode != "" {
+		parts = append(parts, "mee_mode="+o.MEEMode)
+	}
+	for i := range knobs {
+		if v := knobs[i].get(o); v > 0 {
+			parts = append(parts, knobs[i].name+"="+knobs[i].format(v))
 		}
 	}
-	add("mee_mode", o.MEEMode, o.MEEMode != "")
-	add("meta_cache_kb", o.MetaCacheKB, o.MetaCacheKB > 0)
-	add("dram_channels", o.DRAMChannels, o.DRAMChannels > 0)
-	add("npu_aes_engines", o.NPUAESEngines, o.NPUAESEngines > 0)
-	add("npu_bandwidth_gbs", o.NPUBandwidthGBs, o.NPUBandwidthGBs > 0)
-	add("link_gbs", o.LinkGBs, o.LinkGBs > 0)
-	add("staging_gbs", o.StagingGBs, o.StagingGBs > 0)
-	add("mac_gran_bytes", o.MACGranBytes, o.MACGranBytes > 0)
-	add("region_mb", o.RegionMB, o.RegionMB > 0)
 	if len(parts) == 0 {
 		return kindLabel(kind)
 	}

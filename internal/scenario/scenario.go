@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tensortee/internal/config"
@@ -104,6 +103,7 @@ type Overrides struct {
 	// NPUBandwidthGBs sets the NPU GDDR bandwidth in GB/s (default 128).
 	NPUBandwidthGBs float64 `json:"npu_bandwidth_gbs,omitempty"`
 	// LinkGBs sets the PCIe effective DMA bandwidth in GB/s (default 26).
+	// Transfers cross the wire at the lower of LinkGBs and StagingGBs.
 	LinkGBs float64 `json:"link_gbs,omitempty"`
 	// StagingGBs sets the staged-copy bandwidth in GB/s (default 12).
 	StagingGBs float64 `json:"staging_gbs,omitempty"`
@@ -125,11 +125,9 @@ type SystemSpec struct {
 }
 
 // Sweep is the optional one-axis parameter sweep. The axis is either a
-// model dimension (layers, hidden, heads, ffn, vocab, batch, seqlen) or an
-// override field (meta_cache_kb, dram_channels, npu_aes_engines,
-// npu_bandwidth_gbs, link_gbs, staging_gbs, mac_gran_bytes, region_mb).
-// Model axes reshape the workload per point; override axes apply to every
-// system in the spec on top of its own overrides.
+// ModelSpec dimension or a numeric Overrides field, named by its JSON key
+// (see SweepAxes). Model axes reshape the workload per point; override
+// axes apply to every system in the spec on top of its own overrides.
 type Sweep struct {
 	// Axis names the swept dimension.
 	Axis string `json:"axis"`
@@ -159,46 +157,6 @@ type Spec struct {
 // first to reproduce the paper's speedup convention).
 func Metrics() []string {
 	return []string{"total", "npu", "cpu", "comm_w", "comm_g", "comm", "speedup"}
-}
-
-// modelAxes maps sweep axes onto ModelSpec fields.
-var modelAxes = map[string]func(*ModelSpec, int){
-	"layers": func(m *ModelSpec, v int) { m.Layers = v },
-	"hidden": func(m *ModelSpec, v int) { m.Hidden = v },
-	"heads":  func(m *ModelSpec, v int) { m.Heads = v },
-	"ffn":    func(m *ModelSpec, v int) { m.FFNDim = v },
-	"vocab":  func(m *ModelSpec, v int) { m.Vocab = v },
-	"batch":  func(m *ModelSpec, v int) { m.Batch = v },
-	"seqlen": func(m *ModelSpec, v int) { m.SeqLen = v },
-}
-
-// overrideAxes maps sweep axes onto Overrides fields; the bool reports
-// whether the axis takes integers only.
-var overrideAxes = map[string]struct {
-	integral bool
-	set      func(*Overrides, float64)
-}{
-	"meta_cache_kb":     {true, func(o *Overrides, v float64) { o.MetaCacheKB = int(v) }},
-	"dram_channels":     {true, func(o *Overrides, v float64) { o.DRAMChannels = int(v) }},
-	"npu_aes_engines":   {true, func(o *Overrides, v float64) { o.NPUAESEngines = int(v) }},
-	"npu_bandwidth_gbs": {false, func(o *Overrides, v float64) { o.NPUBandwidthGBs = v }},
-	"link_gbs":          {false, func(o *Overrides, v float64) { o.LinkGBs = v }},
-	"staging_gbs":       {false, func(o *Overrides, v float64) { o.StagingGBs = v }},
-	"mac_gran_bytes":    {true, func(o *Overrides, v float64) { o.MACGranBytes = int(v) }},
-	"region_mb":         {true, func(o *Overrides, v float64) { o.RegionMB = int(v) }},
-}
-
-// SweepAxes lists the valid sweep axis names, model axes first.
-func SweepAxes() []string {
-	axes := make([]string, 0, len(modelAxes)+len(overrideAxes))
-	for a := range modelAxes {
-		axes = append(axes, a)
-	}
-	for a := range overrideAxes {
-		axes = append(axes, a)
-	}
-	sort.Strings(axes)
-	return axes
 }
 
 // parseKind normalizes a system-kind spelling.
