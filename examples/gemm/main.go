@@ -29,12 +29,10 @@ func main() {
 	for pass := 1; pass <= 3; pass++ {
 		an.ResetStats()
 		s := mk()
-		for {
-			a, ok := s.Next()
-			if !ok {
-				break
+		for r, ok := s.NextRun(); ok; r, ok = s.NextRun() {
+			for i := 0; i < r.Lines; i++ {
+				an.Read(r.Addr + uint64(i)*r.Stride)
 			}
-			an.Read(a.Addr)
 		}
 		st := an.Stats()
 		fmt.Printf("pass %d: hit_in=%5.1f%% hit_boundary=%5.1f%% miss=%5.1f%%  (creations=%d merges=%d)\n",

@@ -160,13 +160,13 @@ func FuzzTamperMemory(f *testing.F) {
 	})
 }
 
-// FuzzRunSpanParity pins the run-length fast path against the
+// FuzzRunSpanParity pins cpusim's in-run expansion against the
 // line-granular oracle for fuzzer-shaped traces: raw bytes decode into a
-// soup of coalesced runs — spans that straddle tensor boundaries,
-// metadata-line (8-slot) groups, and the region end — which replay
-// through two fresh simulators, one consuming spans and one stepping
-// lines. The Results (makespan, DRAM traffic, MEE and analyzer stats)
-// must be identical, and the engine and analyzer stats must stay
+// soup of runs — spans that straddle tensor boundaries, metadata-line
+// (8-slot) groups, and the region end — which replay through two fresh
+// simulators, one fed the runs and one fed the same runs split into
+// one-line runs. The Results (makespan, DRAM traffic, MEE and analyzer
+// stats) must be identical, and the engine and analyzer stats must stay
 // identical after both drain their dirty lines with Flush.
 func FuzzRunSpanParity(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 1, 8, 1, 2, 16, 2, 255, 3, 0}, uint8(2))
@@ -195,14 +195,19 @@ func FuzzRunSpanParity(f *testing.F) {
 			return
 		}
 		cfg := config.Default(config.BaselineSGXMGX)
-		mk := func() *trace.RunSlice {
-			return &trace.RunSlice{Runs: append([]trace.Run(nil), runs...)}
+		var lines []trace.Run // the oracle: the same runs split into one-line runs
+		for _, r := range runs {
+			for l := 0; l < r.Lines; l++ {
+				one := r
+				one.Addr, one.Lines = r.Addr+uint64(l)*r.Stride, 1
+				lines = append(lines, one)
+			}
 		}
 		fast := cpusim.New(cfg, cpusim.Options{Mode: mode, DataLines: dataLines})
 		oracle := cpusim.New(cfg, cpusim.Options{Mode: mode, DataLines: dataLines})
 		for it := 0; it < 2; it++ {
-			rFast := fast.Run([]trace.Stream{mk()})
-			rOracle := oracle.Run(trace.LineOnlyStreams([]trace.Stream{mk()}))
+			rFast := fast.Run([]trace.Stream{&trace.RunSlice{Runs: runs}})
+			rOracle := oracle.Run([]trace.Stream{&trace.RunSlice{Runs: lines}})
 			if rFast != rOracle {
 				t.Fatalf("iteration %d: fast %+v != oracle %+v", it, rFast, rOracle)
 			}

@@ -29,10 +29,7 @@ func TestContextSwitchSaveRestore(t *testing.T) {
 	// A different enclave runs: its stream trashes the table (the
 	// hardware would have swapped tables; here we simulate the trashing
 	// to prove Restore is what saves us).
-	foreign := &trace.SliceStream{}
-	for i := 0; i < 4096; i++ {
-		foreign.Accesses = append(foreign.Accesses, trace.Access{Addr: 0x4000_0000 + uint64(i*64)})
-	}
+	foreign := &trace.RunSlice{Runs: []trace.Run{{Addr: 0x4000_0000, Lines: 4096, Stride: 64}}}
 	s.Run([]trace.Stream{foreign})
 
 	// Resume without restore: the original tensors are partly evicted or

@@ -1,9 +1,9 @@
 // Package cpusim is the gem5-lite host-CPU timing model: multiple cores
-// with private L1/L2 and a shared L3, issuing line-granular access streams
-// into a memory controller fronted by the MEE (and, in TensorTEE mode, the
-// TenAnalyzer). It reproduces the CPU-side results of the paper: the SGX
-// slowdown on the memory-intensive Adam step (Figure 3) and the
-// iteration-by-iteration recovery of TensorTEE (Figures 18/19).
+// with private L1/L2 and a shared L3, expanding each core's stream of runs
+// line by line into a memory controller fronted by the MEE (and, in
+// TensorTEE mode, the TenAnalyzer). It reproduces the CPU-side results of
+// the paper: the SGX slowdown on the memory-intensive Adam step (Figure 3)
+// and the iteration-by-iteration recovery of TensorTEE (Figures 18/19).
 //
 // Core model: each core issues from its stream with a bounded number of
 // outstanding misses (memory-level parallelism). Cache hits cost their
@@ -164,46 +164,31 @@ func (h *completionHeap) popMin() sim.Time {
 	return top
 }
 
-// coreState is one core's replay cursor. Cores prefer the span-granular
-// RunStream interface when the stream provides it: one NextRun call
-// yields a whole burst of consecutive lines, which the core then expands
-// locally (run/runPos) without any per-access interface dispatch. The
-// per-line expansion is exactly trace.ExpandRun's, so the replayed access
-// sequence — and with it every cache, MEE, and analyzer state transition —
-// is identical to stepping the stream line by line (pinned by the parity
-// tests and the golden harness).
+// coreState is one core's replay cursor: the core pulls a run from its
+// stream and expands it locally, one line per issue.
 type coreState struct {
 	id          int
 	stream      trace.Stream
-	runs        trace.RunStream // non-nil when stream coalesces spans
-	run         trace.Run       // current span
-	runPos      int             // lines of run already issued
+	run         trace.Run // current run
+	runPos      int       // lines of run already issued
 	nextReady   sim.Time
 	outstanding completionHeap
 	lastDone    sim.Time
-	done        bool
 }
 
-// nextAccess yields the core's next line-granular access, pulling a new
-// coalesced span when the current one is exhausted.
-func (c *coreState) nextAccess() (trace.Access, bool) {
-	if c.runs != nil {
-		for c.runPos >= c.run.Lines {
-			r, ok := c.runs.NextRun()
-			if !ok {
-				return trace.Access{}, false
-			}
+// refill pulls the core's next non-empty run; false when the stream is
+// done.
+func (c *coreState) refill() bool {
+	for {
+		r, ok := c.stream.NextRun()
+		if !ok {
+			return false
+		}
+		if r.Lines > 0 {
 			c.run, c.runPos = r, 0
+			return true
 		}
-		a := trace.Access{
-			Addr:    c.run.Addr + uint64(c.runPos)*c.run.Stride,
-			Write:   c.run.Write,
-			Compute: c.run.Compute,
-		}
-		c.runPos++
-		return a, true
 	}
-	return c.stream.Next()
 }
 
 // Run replays one stream per core (len(streams) <= Cores) to completion
@@ -221,9 +206,6 @@ func (s *Sim) Run(streams []trace.Stream) Result {
 	cores := make([]coreState, len(streams))
 	for i, st := range streams {
 		cores[i] = coreState{id: i, stream: st, nextReady: start}
-		if rs, ok := st.(trace.RunStream); ok {
-			cores[i].runs = rs
-		}
 	}
 
 	var accesses uint64
@@ -242,31 +224,16 @@ func (s *Sim) Run(streams []trace.Stream) Result {
 			}
 		}
 
-		// Mid-run expansion inlined: nextAccess's loop keeps it from
-		// inlining, and most accesses are the interior of a coalesced
-		// span.
-		var acc trace.Access
-		var ok bool
-		if c.runs != nil && c.runPos < c.run.Lines {
-			acc = trace.Access{
-				Addr:    c.run.Addr + uint64(c.runPos)*c.run.Stride,
-				Write:   c.run.Write,
-				Compute: c.run.Compute,
-			}
-			c.runPos++
-			ok = true
-		} else {
-			acc, ok = c.nextAccess()
-		}
-		if !ok {
-			c.done = true
+		if c.runPos >= c.run.Lines && !c.refill() {
 			c.nextReady = ^sim.Time(0) // park: never wins the election
 			active--
 			continue
 		}
+		addr := c.run.Addr + uint64(c.runPos)*c.run.Stride
+		c.runPos++
 		accesses++
 
-		at := c.nextReady + acc.Compute
+		at := c.nextReady + c.run.Compute
 
 		// Memory-level parallelism: block issue when the miss window is
 		// full until the oldest outstanding miss retires.
@@ -277,7 +244,7 @@ func (s *Sim) Run(streams []trace.Stream) Result {
 			}
 		}
 
-		done, missed := s.access(at, c.id, acc)
+		done, missed := s.access(at, c.id, addr, c.run.Write)
 		if missed {
 			c.outstanding.push(done)
 		}
@@ -314,7 +281,7 @@ func (s *Sim) Run(streams []trace.Stream) Result {
 
 // access walks the cache hierarchy and, on miss, the MEE path. Returns the
 // completion time of the access and whether it reached DRAM.
-func (s *Sim) access(at sim.Time, core int, acc trace.Access) (done sim.Time, missed bool) {
+func (s *Sim) access(at sim.Time, core int, addr uint64, write bool) (done sim.Time, missed bool) {
 	// Dirty victims collect into a fixed stack array (at most one per
 	// cache level): the previous per-access make([]uint64, 0, 2) was the
 	// single largest allocation source in the whole simulator, and even
@@ -323,21 +290,21 @@ func (s *Sim) access(at sim.Time, core int, acc trace.Access) (done sim.Time, mi
 	nwb := 0
 
 	var hitLevel int
-	if r := s.l1[core].Access(acc.Addr, acc.Write); r.Hit {
+	if r := s.l1[core].Access(addr, write); r.Hit {
 		hitLevel = 1
 	} else {
 		if r.HasWriteback {
 			wbs[nwb] = r.WritebackAddr
 			nwb++
 		}
-		if r2 := s.l2[core].Access(acc.Addr, false); r2.Hit {
+		if r2 := s.l2[core].Access(addr, false); r2.Hit {
 			hitLevel = 2
 		} else {
 			if r2.HasWriteback {
 				wbs[nwb] = r2.WritebackAddr
 				nwb++
 			}
-			if r3 := s.l3.Access(acc.Addr, false); r3.Hit {
+			if r3 := s.l3.Access(addr, false); r3.Hit {
 				hitLevel = 3
 			} else {
 				if r3.HasWriteback {
@@ -358,7 +325,7 @@ func (s *Sim) access(at sim.Time, core int, acc trace.Access) (done sim.Time, mi
 	default:
 		// DRAM fill through the MEE. Writes allocate: the demand fetch is a
 		// read; the dirty data leaves later as a writeback.
-		done = s.readThroughMEE(at, acc.Addr)
+		done = s.readThroughMEE(at, addr)
 		missed = true
 	}
 

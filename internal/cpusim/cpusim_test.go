@@ -155,7 +155,7 @@ func TestRunPanicsOnTooManyStreams(t *testing.T) {
 	}()
 	streams := make([]trace.Stream, 9)
 	for i := range streams {
-		streams[i] = &trace.SliceStream{}
+		streams[i] = &trace.RunSlice{}
 	}
 	s.Run(streams)
 }

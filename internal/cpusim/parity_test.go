@@ -12,11 +12,12 @@ import (
 	"tensortee/internal/trace"
 )
 
-// runBoth replays the same trace through the span fast path and the
-// line-granular oracle (streams wrapped with trace.LineOnly) on two
-// freshly built simulators and returns both results plus the analyzer
-// stats when present. Every field must match exactly: the fast path is a
-// pure restructuring of the replay loop, not an approximation.
+// runBoth replays the same trace as generated and as the line-granular
+// oracle (the same runs split into one-line runs, so the core pulls one
+// NextRun per line) on two freshly built simulators and compares both
+// results plus the analyzer stats when present. Every field must match
+// exactly: expanding a run inside the core is a pure restructuring of
+// the replay loop, not an approximation.
 func runBoth(t *testing.T, mode mee.Mode, lines int, mkStreams func() []trace.Stream, iters int) {
 	t.Helper()
 	cfg := config.Default(config.BaselineSGXMGX)
@@ -25,7 +26,7 @@ func runBoth(t *testing.T, mode mee.Mode, lines int, mkStreams func() []trace.St
 	oracle := New(cfg, Options{Mode: mode, DataLines: lines})
 	for it := 0; it < iters; it++ {
 		rFast := fast.Run(mkStreams())
-		rOracle := oracle.Run(trace.LineOnlyStreams(mkStreams()))
+		rOracle := oracle.Run(oneLineRuns(mkStreams()))
 		if !reflect.DeepEqual(rFast, rOracle) {
 			t.Fatalf("iteration %d: fast path diverges from line oracle\nfast:   %+v\noracle: %+v", it, rFast, rOracle)
 		}
@@ -47,6 +48,24 @@ func runBoth(t *testing.T, mode mee.Mode, lines int, mkStreams func() []trace.St
 	if ef != eo {
 		t.Fatalf("engine stats diverge after flush\nfast:   %+v\noracle: %+v", ef, eo)
 	}
+}
+
+// oneLineRuns drains each stream and re-serves its runs split into
+// one-line runs.
+func oneLineRuns(streams []trace.Stream) []trace.Stream {
+	out := make([]trace.Stream, len(streams))
+	for i, s := range streams {
+		var runs []trace.Run
+		for r, ok := s.NextRun(); ok; r, ok = s.NextRun() {
+			for l := 0; l < r.Lines; l++ {
+				one := r
+				one.Addr, one.Lines = r.Addr+uint64(l)*r.Stride, 1
+				runs = append(runs, one)
+			}
+		}
+		out[i] = &trace.RunSlice{Runs: runs}
+	}
+	return out
 }
 
 // TestRunFastPathParityAdam replays Adam sweeps in every MEE mode through

@@ -216,7 +216,7 @@ func (r *Region) WriteBytes(addr uint64, data []byte) (lines int, err error) {
 			if rerr != nil {
 				return lines, rerr
 			}
-			copy(old[cur-lineBase:], data[cur-addr:min64(end, lineEnd)-addr])
+			copy(old[cur-lineBase:], data[cur-addr:min(end, lineEnd)-addr])
 			buf = old
 		}
 		r.WriteLine(lineBase, buf)
@@ -237,18 +237,11 @@ func (r *Region) ReadBytes(addr uint64, n int) ([]byte, error) {
 			return nil, err
 		}
 		lo := cur - lineBase
-		hi := min64(end, lineBase+uint64(r.LineBytes)) - lineBase
+		hi := min(end, lineBase+uint64(r.LineBytes)) - lineBase
 		out = append(out, pl[lo:hi]...)
 		cur = lineBase + uint64(r.LineBytes)
 	}
 	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LineExport is the per-line payload of the direct transfer protocol:

@@ -162,9 +162,10 @@ func CostWeight(axis string) float64 {
 
 // NormalizeAxis validates one sweep axis name and its value list — the
 // same checks a Spec-level Sweep gets (known axis, 1..64 positive finite
-// values, integral on integer axes) — and returns the canonical axis
-// spelling with the validated values. Every error matches ErrInvalidSpec
-// and ErrBadSweep.
+// values, integral and within the axis bound on integer axes) — and
+// returns the canonical axis spelling with the validated values. Every
+// error matches ErrInvalidSpec; all but the bound errors, which read as
+// the per-point checks do, also match ErrBadSweep.
 func NormalizeAxis(axis string, values []float64) (string, []float64, error) {
 	sw, err := resolveSweep(&Sweep{Axis: axis, Values: values})
 	if err != nil {

@@ -41,6 +41,14 @@ func TestNormalizeAxisMatchesSweepValidation(t *testing.T) {
 			t.Errorf("NormalizeAxis(%q, %v) error = %v, want ErrInvalidSpec+ErrBadSweep", tc.axis, tc.values, err)
 		}
 	}
+
+	// A campaign axis value beyond the int range is rejected before any
+	// conversion, naming the value sent.
+	_, _, err = NormalizeAxis("meta_cache_kb", []float64{1e30})
+	const want = "scenario: invalid spec: override meta_cache_kb 1000000000000000000000000000000 above the 262144 simulation bound"
+	if err == nil || err.Error() != want {
+		t.Errorf("NormalizeAxis(meta_cache_kb, 1e30) error = %v, want %s", err, want)
+	}
 }
 
 func TestApplyAxisModelDimension(t *testing.T) {

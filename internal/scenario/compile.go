@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"tensortee/internal/config"
@@ -195,9 +196,35 @@ func resolveSweep(sw *Sweep) (*Sweep, error) {
 		if integral && v != math.Trunc(v) {
 			return nil, invalid(ErrBadSweep, "axis %q takes integers, got %v", axis, v)
 		}
+		if integral {
+			if err := checkSweepBound(d, k, v); err != nil {
+				return nil, err
+			}
+		}
 		out[i] = v
 	}
 	return &Sweep{Axis: axis, Values: out}, nil
+}
+
+// checkSweepBound range-checks an integral sweep value against its axis
+// bound while it is still a float64: a value beyond the int range would
+// wrap in ApplyAxis's int conversion, and the per-point checks would then
+// name a number the user never sent. The wording is those checks'.
+func checkSweepBound(d *dim, k *knob, v float64) error {
+	sent := strconv.FormatFloat(v, 'f', -1, 64)
+	switch {
+	case d != nil:
+		if v > float64(d.max) {
+			return invalid(nil, "model %s %s above the %d simulation bound", d.name, sent, d.max)
+		}
+	case k.name == "region_mb": // bounded in MB by check, not by its knob
+		if v > float64(config.MaxProtectedBytes>>20) {
+			return invalid(nil, "region_mb %s above the %d MB simulation bound", sent, config.MaxProtectedBytes>>20)
+		}
+	case v > k.max:
+		return invalid(nil, "override %s %s above the %d simulation bound", k.name, sent, int(k.max))
+	}
+	return nil
 }
 
 // check validates override field ranges against the base kind. Range
@@ -361,8 +388,7 @@ const (
 )
 
 // checkDims bounds a fully-resolved model shape. It runs per sweep point,
-// so swept dimensions are bounded too, including a swept value too large
-// for an int, which converts to a negative one on amd64.
+// so swept dimensions are bounded too.
 func checkDims(ms ModelSpec) error {
 	for _, d := range dims {
 		switch v := *d.field(&ms); {

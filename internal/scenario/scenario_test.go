@@ -149,6 +149,10 @@ func TestValidateRejections(t *testing.T) {
 		{sweep("mac_gran_bytes", 64.5), pre + "scenario: invalid sweep: axis \"mac_gran_bytes\" takes integers, got 64.5"},
 		{sweep("region_mb", 63), pre + "scenario: override would break calibration: region_mb 63 is below the 64 MB calibration window"},
 		{sweep("region_mb", 1025), pre + "region_mb 1025 above the 1024 MB simulation bound"},
+		{sweep("meta_cache_kb", 1e30), pre + "override meta_cache_kb 1000000000000000000000000000000 above the 262144 simulation bound"},
+		{sweep("dram_channels", 1e19), pre + "override dram_channels 10000000000000000000 above the 64 simulation bound"},
+		{sweep("region_mb", 1e30), pre + "region_mb 1000000000000000000000000000000 above the 1024 MB simulation bound"},
+		{sweep("layers", 1e30), pre + "model layers 1000000000000000000000000000000 above the 10000 simulation bound"},
 		{sweep("voltage", 1), pre + "scenario: invalid sweep: unknown axis \"voltage\" (want one of batch, dram_channels, ffn, heads, hidden, layers, link_gbs, mac_gran_bytes, meta_cache_kb, npu_aes_engines, npu_bandwidth_gbs, region_mb, seqlen, staging_gbs, vocab)"},
 		{func(s *Spec) { s.Model.Heads = -1 }, pre + "model heads must be positive, got -1"},
 		{func(s *Spec) { s.Model.SeqLen = -5 }, pre + "model seqlen must be positive, got -5"},

@@ -1,11 +1,9 @@
 // Package stats provides the small reporting helpers the experiment
-// harness uses to print paper-style tables and series.
+// harness uses to print paper-style tables.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -119,36 +117,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Series is a named sequence of (x, y) points (a figure line).
-type Series struct {
-	Name   string
-	X      []float64
-	Y      []float64
-	XLabel string
-	YLabel string
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// GeoMean returns the geometric mean of vals (0 if empty or non-positive).
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vals)))
-}
-
 // Mean returns the arithmetic mean.
 func Mean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -159,18 +127,4 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// Median returns the middle value (average of two middles for even n).
-func Median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

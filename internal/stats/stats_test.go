@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -46,41 +45,11 @@ func TestFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 2)
-	s.Add(3, 4)
-	if len(s.X) != 2 || s.Y[1] != 4 {
-		t.Error("series add broken")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean should be 0")
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("non-positive geomean should be 0")
-	}
-}
-
 func TestMeanMedian(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("mean wrong")
 	}
 	if Mean(nil) != 0 {
 		t.Error("empty mean should be 0")
-	}
-	if Median([]float64{5, 1, 3}) != 3 {
-		t.Error("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median wrong")
-	}
-	if Median(nil) != 0 {
-		t.Error("empty median should be 0")
 	}
 }

@@ -11,27 +11,10 @@ import (
 	"tensortee/internal/tensor"
 )
 
-// Access is one line-granular memory operation issued by a core.
-type Access struct {
-	Addr  uint64
-	Write bool
-	// Compute is the compute gap the core spends before issuing this
-	// access (the arithmetic between memory operations).
-	Compute sim.Dur
-}
-
-// Stream yields a core's access sequence.
-type Stream interface {
-	// Next returns the next access; ok is false when the stream is done.
-	Next() (a Access, ok bool)
-}
-
-// Run is a coalesced span of Lines accesses to consecutive cachelines
-// (Addr, Addr+Stride, ...), all reads or all writes, each preceded by the
-// same Compute gap. Runs are the span currency of the fast path: one Run
-// replaces Lines individual Access values, and expanding a Run line by
-// line (see ExpandRun) reproduces the per-line stream exactly — the
-// parity tests and the golden harness pin this equivalence.
+// Run is a span of Lines accesses to consecutive cachelines (Addr,
+// Addr+Stride, ...), all reads or all writes, each preceded by the same
+// Compute gap (the arithmetic between memory operations). Consumers expand
+// a run line by line in that order.
 //
 // Generators guarantee a Run never crosses a tensor boundary: every line
 // of a Run belongs to the same tensor.
@@ -43,133 +26,28 @@ type Run struct {
 	Compute sim.Dur // compute gap charged before each line
 }
 
-// End returns one past the last byte-address the run's lines start at.
-func (r Run) End() uint64 { return r.Addr + uint64(r.Lines)*r.Stride }
-
-// RunStream is a Stream that can also yield coalesced spans. Next and
-// NextRun share one cursor: a NextRun after a partial per-line read
-// returns the remainder of the current span, so mixed consumption never
-// skips or repeats a line.
-type RunStream interface {
-	Stream
-	// NextRun returns the next coalesced span; ok is false when done.
+// Stream yields a core's access sequence as runs.
+type Stream interface {
+	// NextRun returns the next run; ok is false when the stream is done.
 	NextRun() (r Run, ok bool)
 }
 
-// ExpandRun appends the run's per-line accesses to dst and returns it —
-// the reference expansion the oracle path and the parity tests use.
-func ExpandRun(dst []Access, r Run) []Access {
-	for i := 0; i < r.Lines; i++ {
-		dst = append(dst, Access{
-			Addr:    r.Addr + uint64(i)*r.Stride,
-			Write:   r.Write,
-			Compute: r.Compute,
-		})
-	}
-	return dst
-}
+// RunStream is the name the perfbench drivers still assert streams to.
+type RunStream = Stream
 
-// lineOnly hides a stream's RunStream implementation, forcing consumers
-// onto the per-line path — the line-granular oracle of the parity tests.
-type lineOnly struct{ s Stream }
-
-// LineOnly wraps s so that type assertions to RunStream fail: simulators
-// then step line by line. Wrapping a plain Stream is a no-op
-// indirection.
-func LineOnly(s Stream) Stream { return &lineOnly{s: s} }
-
-// Next implements Stream.
-func (l *lineOnly) Next() (Access, bool) { return l.s.Next() }
-
-// LineOnlyStreams wraps every stream in the slice with LineOnly.
-func LineOnlyStreams(streams []Stream) []Stream {
-	out := make([]Stream, len(streams))
-	for i, s := range streams {
-		out[i] = LineOnly(s)
-	}
-	return out
-}
-
-// SliceStream replays a fixed slice (tests). It is deliberately
-// line-granular only (no NextRun): wrapping generated runs in a
-// SliceStream is the simplest way to feed a simulator the oracle
-// expansion of a coalesced stream.
-type SliceStream struct {
-	Accesses []Access
-	pos      int
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Access, bool) {
-	if s.pos >= len(s.Accesses) {
-		return Access{}, false
-	}
-	a := s.Accesses[s.pos]
-	s.pos++
-	return a, true
-}
-
-// RunSlice replays a fixed sequence of coalesced runs, serving both the
-// span-granular and the line-granular interfaces from one cursor.
+// RunSlice replays a fixed sequence of runs.
 type RunSlice struct {
 	Runs []Run
-	pos  int // current run
-	sub  int // lines of Runs[pos] already emitted by Next
+	pos  int
 }
 
-// NextRun implements RunStream: it returns the remainder of the current
-// run (the whole run when Next has not nibbled at it).
+// NextRun implements Stream.
 func (s *RunSlice) NextRun() (Run, bool) {
-	for s.pos < len(s.Runs) {
-		r := s.Runs[s.pos]
-		sub := s.sub
-		s.pos++
-		s.sub = 0
-		if sub >= r.Lines {
-			continue // fully consumed by Next
-		}
-		r.Addr += uint64(sub) * r.Stride
-		r.Lines -= sub
-		return r, true
+	if s.pos >= len(s.Runs) {
+		return Run{}, false
 	}
-	return Run{}, false
-}
-
-// Next implements Stream by expanding runs line by line.
-func (s *RunSlice) Next() (Access, bool) {
-	for s.pos < len(s.Runs) {
-		r := s.Runs[s.pos]
-		if s.sub < r.Lines {
-			a := Access{Addr: r.Addr + uint64(s.sub)*r.Stride, Write: r.Write, Compute: r.Compute}
-			s.sub++
-			return a, true
-		}
-		s.pos++
-		s.sub = 0
-	}
-	return Access{}, false
-}
-
-// CoalesceAccesses folds a per-line access slice into maximal runs:
-// consecutive accesses with ascending stride-spaced addresses and equal
-// Write/Compute merge. Expanding the result reproduces the input exactly.
-func CoalesceAccesses(accs []Access, stride uint64) []Run {
-	if stride == 0 {
-		stride = 64
-	}
-	var runs []Run
-	for _, a := range accs {
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if a.Addr == last.Addr+uint64(last.Lines)*stride &&
-				a.Write == last.Write && a.Compute == last.Compute {
-				last.Lines++
-				continue
-			}
-		}
-		runs = append(runs, Run{Addr: a.Addr, Lines: 1, Stride: stride, Write: a.Write, Compute: a.Compute})
-	}
-	return runs
+	s.pos++
+	return s.Runs[s.pos-1], true
 }
 
 // AdamTensors is the per-parameter-group tensor quad of the Adam step:
@@ -207,7 +85,6 @@ type adamStream struct {
 	seg   int
 	line  int // start of the current burst window
 	phase int // 0..6: read w,g,m,v then write w,m,v
-	idx   int // line within the burst window
 
 	segsOf func(q AdamTensors) []lineRange
 }
@@ -292,17 +169,9 @@ func AdamStreams(quads []AdamTensors, cfg AdamConfig) []Stream {
 	return streams
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (s *adamStream) reset() {
 	s.quad = 0
 	s.phase = 0
-	s.idx = 0
 	s.advanceQuad()
 }
 
@@ -340,59 +209,18 @@ func (s *adamStream) burstLen() int {
 	return n
 }
 
-// Next implements Stream: per burst window it emits BurstLines reads of w,
-// then g, m, v, then the stores of w, m, v, then advances the window.
-func (s *adamStream) Next() (Access, bool) {
-	if s.quad >= len(s.quads) {
-		return Access{}, false
-	}
-	q := s.quads[s.quad]
-	bl := s.burstLen()
-	off := uint64((s.line + s.idx) * s.lineBytes)
-	var a Access
-	switch s.phase {
-	case 0:
-		a = Access{Addr: q.W.Addr + off, Compute: s.computePer}
-	case 1:
-		a = Access{Addr: q.G.Addr + off}
-	case 2:
-		a = Access{Addr: q.M.Addr + off}
-	case 3:
-		a = Access{Addr: q.V.Addr + off}
-	case 4:
-		a = Access{Addr: q.W.Addr + off, Write: true}
-	case 5:
-		a = Access{Addr: q.M.Addr + off, Write: true}
-	case 6:
-		a = Access{Addr: q.V.Addr + off, Write: true}
-	}
-	s.idx++
-	if s.idx >= bl {
-		s.idx = 0
-		s.phase++
-		if s.phase == 7 {
-			s.phase = 0
-			s.line += bl
-			if s.line >= s.segs[s.seg].End {
-				s.advanceSeg()
-			}
-		}
-	}
-	return a, true
-}
-
-// NextRun implements RunStream: one run per (phase, burst window) — up to
+// NextRun implements Stream: one run per (phase, burst window) — up to
 // BurstLines consecutive lines of a single tensor, so a run never crosses
-// a tensor boundary. It advances the same cursor as Next, emitting the
-// remainder of the current phase when Next already consumed part of it.
+// a tensor boundary. Per burst window it yields the reads of w, g, m, v,
+// then the stores of w, m, v, then advances the window.
 func (s *adamStream) NextRun() (Run, bool) {
 	if s.quad >= len(s.quads) {
 		return Run{}, false
 	}
 	q := s.quads[s.quad]
 	bl := s.burstLen()
-	off := uint64((s.line + s.idx) * s.lineBytes)
-	r := Run{Lines: bl - s.idx, Stride: uint64(s.lineBytes)}
+	off := uint64(s.line * s.lineBytes)
+	r := Run{Lines: bl, Stride: uint64(s.lineBytes)}
 	switch s.phase {
 	case 0:
 		r.Addr, r.Compute = q.W.Addr+off, s.computePer
@@ -409,7 +237,6 @@ func (s *adamStream) NextRun() (Run, bool) {
 	case 6:
 		r.Addr, r.Write = q.V.Addr+off, true
 	}
-	s.idx = 0
 	s.phase++
 	if s.phase == 7 {
 		s.phase = 0
@@ -438,11 +265,8 @@ type GEMMConfig struct {
 }
 
 // GEMMStream yields the tile-ordered traversal of the matrix: tiles
-// left-to-right, top-to-bottom; within a tile, row-major lines. The
-// stream is run-coalesced: each tile row is one contiguous span (a tile
-// row never crosses the matrix row it lives in), so simulators on the
-// span path replay it without per-line stream calls. Expanding the runs
-// reproduces the historical per-line sequence exactly.
+// left-to-right, top-to-bottom; within a tile, row-major lines. Each tile
+// row is one run (a tile row never crosses the matrix row it lives in).
 func GEMMStream(cfg GEMMConfig) Stream {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
@@ -468,15 +292,4 @@ func GEMMStream(cfg GEMMConfig) Stream {
 		}
 	}
 	return &RunSlice{Runs: runs}
-}
-
-// CountStream counts the accesses a stream yields (draining it).
-func CountStream(s Stream) int {
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			return n
-		}
-		n++
-	}
 }

@@ -1,25 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
+	"tensortee/internal/sim"
 	"tensortee/internal/tensor"
 )
-
-func TestSliceStream(t *testing.T) {
-	s := &SliceStream{Accesses: []Access{{Addr: 1}, {Addr: 2, Write: true}}}
-	a, ok := s.Next()
-	if !ok || a.Addr != 1 || a.Write {
-		t.Errorf("first = %+v ok=%v", a, ok)
-	}
-	a, ok = s.Next()
-	if !ok || a.Addr != 2 || !a.Write {
-		t.Errorf("second = %+v", a)
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream did not terminate")
-	}
-}
 
 func TestNewAdamTensorsLayout(t *testing.T) {
 	arena := tensor.NewArena(0, 64)
@@ -45,15 +32,33 @@ func TestNewAdamTensorsLayout(t *testing.T) {
 	}
 }
 
-// drain collects all accesses of a stream.
-func drain(s Stream) []Access {
-	var out []Access
+// line is one line-granular access of an expanded stream.
+type line struct {
+	Addr    uint64
+	Write   bool
+	Compute sim.Dur
+}
+
+// drain expands every run of a stream into its per-line accesses.
+func drain(s Stream) []line {
+	var out []line
+	for _, r := range drainRuns(s) {
+		for i := 0; i < r.Lines; i++ {
+			out = append(out, line{Addr: r.Addr + uint64(i)*r.Stride, Write: r.Write, Compute: r.Compute})
+		}
+	}
+	return out
+}
+
+// drainRuns collects all runs of a stream.
+func drainRuns(s Stream) []Run {
+	var out []Run
 	for {
-		a, ok := s.Next()
+		r, ok := s.NextRun()
 		if !ok {
 			return out
 		}
-		out = append(out, a)
+		out = append(out, r)
 	}
 }
 
@@ -216,36 +221,15 @@ func TestGEMMStream(t *testing.T) {
 }
 
 func TestGEMMStreamRepeats(t *testing.T) {
-	one := CountStream(GEMMStream(GEMMConfig{Base: 0, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16}))
-	three := CountStream(GEMMStream(GEMMConfig{Base: 0, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16, Repeats: 3}))
+	one := len(drain(GEMMStream(GEMMConfig{Base: 0, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16})))
+	three := len(drain(GEMMStream(GEMMConfig{Base: 0, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16, Repeats: 3})))
 	if three != 3*one {
 		t.Errorf("repeats = %d, want %d", three, 3*one)
 	}
 }
 
-// drainRuns collects all spans of a RunStream.
-func drainRuns(s RunStream) []Run {
-	var out []Run
-	for {
-		r, ok := s.NextRun()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// expandAll expands runs into their reference per-line accesses.
-func expandAll(runs []Run) []Access {
-	var out []Access
-	for _, r := range runs {
-		out = ExpandRun(out, r)
-	}
-	return out
-}
-
-// sameAccesses compares two access slices exactly.
-func sameAccesses(t *testing.T, got, want []Access, label string) {
+// sameLines compares two access slices exactly.
+func sameLines(t *testing.T, got, want []line, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d accesses, want %d", label, len(got), len(want))
@@ -257,9 +241,40 @@ func sameAccesses(t *testing.T, got, want []Access, label string) {
 	}
 }
 
-// TestAdamRunsMatchLines pins the tentpole equivalence: expanding the
-// span-granular Adam stream reproduces the per-line stream exactly, for
-// several chunkings including uneven tails and rotated seams.
+// adamOracle lists one core's Adam accesses line by line in the
+// documented order: per quad, per segment of the core's chunk, per burst
+// window of up to burst lines, read w, g, m, v, then write w, m, v, with
+// the compute gap on each w read. The chunk segments come from the
+// stream's segsOf, whose geometry the chunking tests pin.
+func adamOracle(s Stream, burst int, compute sim.Dur) []line {
+	as := s.(*adamStream)
+	var out []line
+	for _, q := range as.quads {
+		phases := []struct {
+			base  uint64
+			write bool
+		}{{q.W.Addr, false}, {q.G.Addr, false}, {q.M.Addr, false}, {q.V.Addr, false},
+			{q.W.Addr, true}, {q.M.Addr, true}, {q.V.Addr, true}}
+		for _, seg := range as.segsOf(q) {
+			for lo := seg.Start; lo < seg.End; lo += burst {
+				for p, ph := range phases {
+					for l := lo; l < min(lo+burst, seg.End); l++ {
+						a := line{Addr: ph.base + uint64(l*64), Write: ph.write}
+						if p == 0 {
+							a.Compute = compute
+						}
+						out = append(out, a)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestAdamRunsMatchLines pins the Adam stream's runs against the
+// per-line oracle, for several chunkings including uneven tails and
+// rotated seams.
 func TestAdamRunsMatchLines(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -277,124 +292,43 @@ func TestAdamRunsMatchLines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			arena := tensor.NewArena(0, 64)
 			quads := []AdamTensors{NewAdamTensors(arena, "a", tc.elems), NewAdamTensors(arena, "b", tc.elems/2)}
-			lines := AdamStreams(quads, tc.cfg)
-			spans := AdamStreams(quads, tc.cfg)
-			for c := range lines {
-				want := drain(lines[c])
-				runs := drainRuns(spans[c].(RunStream))
+			for c, s := range AdamStreams(quads, tc.cfg) {
+				want := adamOracle(s, tc.cfg.BurstLines, tc.cfg.ComputePerLine)
+				runs := drainRuns(s)
 				for _, r := range runs {
 					if r.Lines <= 0 || r.Stride == 0 {
 						t.Fatalf("degenerate run %+v", r)
 					}
 				}
-				sameAccesses(t, expandAll(runs), want, "core")
+				sameLines(t, drain(&RunSlice{Runs: runs}), want, fmt.Sprintf("core %d", c))
 			}
 		})
 	}
 }
 
-// TestAdamMixedConsumption pins that Next and NextRun share one cursor:
-// nibbling lines off a stream and then switching to spans (and back)
-// still covers exactly the per-line sequence.
-func TestAdamMixedConsumption(t *testing.T) {
-	arena := tensor.NewArena(0, 64)
-	quads := []AdamTensors{NewAdamTensors(arena, "p", 256)}
-	cfg := AdamConfig{Cores: 1, BurstLines: 4, ComputePerLine: 9}
-	want := drain(AdamStreams(quads, cfg)[0])
-
-	s := AdamStreams(quads, cfg)[0].(RunStream)
-	var got []Access
-	for i := 0; ; i++ {
-		if i%3 == 0 { // nibble a line, then take the rest of the span
-			a, ok := s.Next()
-			if !ok {
-				break
-			}
-			got = append(got, a)
-			continue
-		}
-		r, ok := s.NextRun()
-		if !ok {
-			break
-		}
-		got = ExpandRun(got, r)
-	}
-	sameAccesses(t, got, want, "mixed")
-}
-
-// TestGEMMRunsMatchLines pins the GEMM stream's span/line equivalence,
-// including a tile width that is not a whole number of lines.
+// TestGEMMRunsMatchLines pins the GEMM stream's runs against the per-line
+// oracle — tiles left to right, then top to bottom; row-major lines
+// within a tile — including a tile width that is not a whole number of
+// lines.
 func TestGEMMRunsMatchLines(t *testing.T) {
 	for _, cfg := range []GEMMConfig{
 		{Base: 0x1000, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16},
 		{Base: 0, Rows: 256, Cols: 256, TileRows: 64, TileCols: 64, Repeats: 2, ComputePerLine: 3},
 		{Base: 0x40, Rows: 4, Cols: 8, TileRows: 2, TileCols: 8}, // 32B tile row < 1 line
 	} {
-		want := drain(GEMMStream(cfg))
-		runs := drainRuns(GEMMStream(cfg).(RunStream))
-		sameAccesses(t, expandAll(runs), want, "gemm")
+		var want []line
+		for rep := 0; rep < max(cfg.Repeats, 1); rep++ {
+			for tr := 0; tr < cfg.Rows; tr += cfg.TileRows {
+				for tc := 0; tc < cfg.Cols; tc += cfg.TileCols {
+					for r := tr; r < tr+cfg.TileRows; r++ {
+						row := cfg.Base + uint64(r*cfg.Cols*4+tc*4)
+						for b := 0; b < cfg.TileCols*4; b += 64 {
+							want = append(want, line{Addr: row + uint64(b), Compute: cfg.ComputePerLine})
+						}
+					}
+				}
+			}
+		}
+		sameLines(t, drain(GEMMStream(cfg)), want, "gemm")
 	}
-}
-
-// TestRunSliceMixedCursor pins RunSlice's shared cursor semantics.
-func TestRunSliceMixedCursor(t *testing.T) {
-	rs := &RunSlice{Runs: []Run{
-		{Addr: 0, Lines: 3, Stride: 64},
-		{Addr: 0x1000, Lines: 2, Stride: 64, Write: true, Compute: 5},
-	}}
-	a, _ := rs.Next() // nibble line 0
-	if a.Addr != 0 {
-		t.Fatalf("nibble = %+v", a)
-	}
-	r, ok := rs.NextRun() // remainder of run 0
-	if !ok || r.Addr != 64 || r.Lines != 2 {
-		t.Fatalf("remainder run = %+v ok=%v", r, ok)
-	}
-	r, ok = rs.NextRun()
-	if !ok || r.Addr != 0x1000 || r.Lines != 2 || !r.Write || r.Compute != 5 {
-		t.Fatalf("second run = %+v", r)
-	}
-	if _, ok := rs.NextRun(); ok {
-		t.Error("run stream did not terminate")
-	}
-	if _, ok := rs.Next(); ok {
-		t.Error("line stream did not terminate")
-	}
-}
-
-// TestCoalesceAccessesRoundTrip pins coalescing: maximal merging and
-// exact round-trip expansion, with splits at write/compute changes and
-// address discontinuities (region ends, tensor boundaries).
-func TestCoalesceAccessesRoundTrip(t *testing.T) {
-	accs := []Access{
-		{Addr: 0}, {Addr: 64}, {Addr: 128}, // one run
-		{Addr: 256},                                        // gap -> new run
-		{Addr: 320, Write: true}, {Addr: 384, Write: true}, // write run
-		{Addr: 448, Compute: 10}, // compute change -> new run
-		{Addr: 0},                // backwards -> new run
-	}
-	runs := CoalesceAccesses(accs, 64)
-	if len(runs) != 5 {
-		t.Fatalf("runs = %d (%+v), want 5", len(runs), runs)
-	}
-	if runs[0].Lines != 3 || runs[2].Lines != 2 || !runs[2].Write {
-		t.Fatalf("unexpected coalescing: %+v", runs)
-	}
-	sameAccesses(t, expandAll(runs), accs, "roundtrip")
-}
-
-// TestLineOnlyHidesRuns pins the oracle wrapper: the wrapped stream no
-// longer satisfies RunStream but yields the same accesses.
-func TestLineOnlyHidesRuns(t *testing.T) {
-	mk := func() Stream {
-		return GEMMStream(GEMMConfig{Base: 0, Rows: 8, Cols: 32, TileRows: 4, TileCols: 16})
-	}
-	if _, ok := mk().(RunStream); !ok {
-		t.Fatal("GEMM stream should be a RunStream")
-	}
-	wrapped := LineOnly(mk())
-	if _, ok := wrapped.(RunStream); ok {
-		t.Fatal("LineOnly must hide RunStream")
-	}
-	sameAccesses(t, drain(wrapped), drain(mk()), "lineonly")
 }
